@@ -448,14 +448,17 @@ let bench_transition =
   Test.make ~name:"micro/transition"
     (Staged.stage (fun () -> ignore (Model.System.transition sys s (Model.Task.Proc 0))))
 
-(* The incremental-analysis cache: whole-fleet lint cold vs warm, and the
-   cached chaos verdict sweep. The warm kernels replay from a cache
-   populated once at startup; [print_cache_rates] re-runs each of them once
-   instrumented after the timing table, so the hit rates land next to the
-   wall times in EXPERIMENTS.md. *)
+(* The incremental-analysis cache: whole-fleet lint and the (n, f) sweep,
+   cold vs warm. The warm kernels replay from a cache populated once at
+   startup; [print_cache_rates] re-runs each of them once instrumented after
+   the timing table, so the hit rates land next to the wall times in
+   EXPERIMENTS.md. The directory is removed at exit. *)
 let bench_cache_dir =
   let f = Filename.temp_file "boost-bench-cache" "" in
   Sys.remove f;
+  at_exit (fun () ->
+      ignore (Analysis.Cache.clear ~dir:f);
+      try Sys.rmdir f with Sys_error _ -> ());
   f
 
 let lint_fleet ?cache () =
@@ -475,29 +478,6 @@ let bench_lint_all_warm =
   Test.make ~name:"analysis/lint-all-warm"
     (Staged.stage (fun () ->
        lint_fleet ~cache:(Analysis.Cache.open_ ~dir:bench_cache_dir) ()))
-
-(* Same sweep as chaos/explore-tob, replayed from the verdict cache: the
-   warm run re-executes only the stored winning/minimized schedules. *)
-let tob_cached_sys = Protocols.Tob_direct.system ~n:2 ~f:0
-
-let tob_cached_config =
-  {
-    (Chaos.Explore.default_config tob_cached_sys) with
-    Chaos.Explore.max_faults = 1;
-    budget = 64;
-    max_steps = 4_000;
-  }
-
-let run_tob_cached () =
-  let cache =
-    Analysis.Cache.open_ ~dir:bench_cache_dir, Analysis.Structhash.system tob_cached_sys
-  in
-  Chaos.Driver.run ~cache (Chaos.Driver.Systematic tob_cached_config) tob_cached_sys
-
-let bench_chaos_tob_cached =
-  ignore (run_tob_cached ());
-  Test.make ~name:"chaos/explore-tob-cached"
-    (Staged.stage (fun () -> ignore (run_tob_cached ())))
 
 (* The parameterized (n, f) sweep: certify direct and tob over the default
    3×3 window. Cold pays 9 concrete lints per protocol; warm replays the
@@ -527,27 +507,20 @@ let print_cache_rates () =
   in
   let c_lint = Analysis.Cache.open_ ~dir:bench_cache_dir in
   lint_fleet ~cache:c_lint ();
-  let c_chaos = Analysis.Cache.open_ ~dir:bench_cache_dir in
-  ignore
-    (Chaos.Driver.run
-       ~cache:(c_chaos, Analysis.Structhash.system tob_cached_sys)
-       (Chaos.Driver.Systematic tob_cached_config) tob_cached_sys);
   let c_sweep = Analysis.Cache.open_ ~dir:bench_cache_dir in
   certify_grid ~cache:c_sweep ();
   Format.printf "@.=== Cache hit rates (warm kernels) ===@.@.";
   Format.printf "%-36s %5.1f%%  %a@." "analysis/lint-all-warm" (rate c_lint)
     Analysis.Cache.pp_stats c_lint;
-  Format.printf "%-36s %5.1f%%  %a@." "chaos/explore-tob-cached" (rate c_chaos)
-    Analysis.Cache.pp_stats c_chaos;
   Format.printf "%-36s %5.1f%%  %a@." "analysis/sweep-grid-warm" (rate c_sweep)
     Analysis.Cache.pp_stats c_sweep
 
-(* The multi-shot RSM workload engine (ISSUE 10): one clean serve run and one
-   with the mixed crash+partition timeline of @workload-smoke. The derived
-   ops/sec in the JSON artifact divides the run's completed operations by the
-   kernel's mean wall time; the simulated latency percentiles come from the
-   deterministic report of one untimed run (identical every time by the
-   seeded-replay contract). *)
+(* The multi-shot RSM workload engine: one clean serve run and one with the
+   mixed crash+partition timeline of @workload-smoke. The derived ops/sec in
+   the JSON artifact divides each kernel's completed operations by its mean
+   wall time; the simulated latency percentiles come from the deterministic
+   report of one untimed run of that kernel's configuration (identical every
+   time by the seeded-replay contract). *)
 let serve_schedule spec =
   match Chaos.Schedule.parse spec with
   | Ok s -> Some s
@@ -566,17 +539,15 @@ let serve_cfg ~faults =
     schedule = (if faults then serve_schedule "crash@6:1,partition@20:0|1.2:32" else None);
   }
 
-let serve_report = Workload.Engine.run (serve_cfg ~faults:true)
+let serve_kernels =
+  [ "serve/direct-clean", serve_cfg ~faults:false;
+    "serve/direct-mixed-faults", serve_cfg ~faults:true ]
 
-let bench_serve_clean =
-  let cfg = serve_cfg ~faults:false in
-  Test.make ~name:"serve/direct-clean"
-    (Staged.stage (fun () -> ignore (Workload.Engine.run cfg)))
-
-let bench_serve_faults =
-  let cfg = serve_cfg ~faults:true in
-  Test.make ~name:"serve/direct-mixed-faults"
-    (Staged.stage (fun () -> ignore (Workload.Engine.run cfg)))
+let serve_benches =
+  List.map
+    (fun (name, cfg) ->
+      Test.make ~name (Staged.stage (fun () -> ignore (Workload.Engine.run cfg))))
+    serve_kernels
 
 let tests =
   ([
@@ -618,15 +589,12 @@ let tests =
       bench_param_fixpoint_tob;
       bench_lint_all_cold;
       bench_lint_all_warm;
-      bench_chaos_tob_cached;
       bench_sweep_grid_cold;
       bench_sweep_grid_warm;
       bench_state_hash;
       bench_transition;
-      bench_serve_clean;
-      bench_serve_faults;
     ]
-    @ valence_benches)
+    @ serve_benches @ valence_benches)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -671,36 +639,46 @@ let run_benchmarks () =
   rows
 
 (* The machine-readable artifact: every kernel with its mean wall time and a
-   derived throughput — serve kernels divide the run's completed operations
-   by the mean (true ops/sec of the engine), everything else reports
-   runs/sec. The serve engine's deterministic latency percentiles ride
-   along. *)
+   derived throughput — serve kernels divide their own run's completed
+   operations by the mean (true ops/sec of the engine), everything else
+   reports runs/sec. Each timed serve kernel's deterministic latency
+   percentiles ride along. *)
 let write_json file rows =
   let oc = open_out file in
-  let ops_of name ns =
-    if contains name "serve/" then float_of_int serve_report.Workload.Report.completed /. (ns /. 1e9)
-    else 1e9 /. ns
-  in
-  let p50, p95, p99, pmax = Workload.Report.latency_summary serve_report in
   let rows = List.filter (fun (_, ns) -> not (Float.is_nan ns)) rows in
+  (* Row names carry the Bechamel group prefix. *)
+  let timed k = List.exists (fun (name, _) -> String.ends_with ~suffix:k name) rows in
+  let serve =
+    List.filter_map
+      (fun (k, cfg) -> if timed k then Some (k, Workload.Engine.run cfg) else None)
+      serve_kernels
+  in
+  let ops_of name ns =
+    match List.find_opt (fun (k, _) -> String.ends_with ~suffix:k name) serve with
+    | Some (_, r) -> float_of_int r.Workload.Report.completed /. (ns /. 1e9)
+    | None -> 1e9 /. ns
+  in
+  let sep i l = if i = List.length l - 1 then "" else "," in
   Printf.fprintf oc "{\n  \"benchmarks\": [\n";
   List.iteri
     (fun i (name, ns) ->
       Printf.fprintf oc "    {\"name\": %S, \"mean_ms\": %.6f, \"ops_per_sec\": %.1f}%s\n"
-        name (ns /. 1e6) (ops_of name ns)
-        (if i = List.length rows - 1 then "" else ","))
+        name (ns /. 1e6) (ops_of name ns) (sep i rows))
     rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"serve\": {\"proto\": %S, \"completed_ops\": %d, \"ticks\": %d, \
-     \"sim_ops_per_tick\": %.3f, \"latency_ticks\": {\"p50\": %d, \"p95\": %d, \"p99\": \
-     %d, \"max\": %d}}\n"
-    serve_report.Workload.Report.proto serve_report.Workload.Report.completed
-    serve_report.Workload.Report.ticks
-    (float_of_int serve_report.Workload.Report.completed
-    /. float_of_int (max 1 serve_report.Workload.Report.ticks))
-    p50 p95 p99 pmax;
-  Printf.fprintf oc "}\n";
+  Printf.fprintf oc "  ],\n  \"serve\": [\n";
+  List.iteri
+    (fun i (name, (r : Workload.Report.t)) ->
+      let p50, p95, p99, pmax = Workload.Report.latency_summary r in
+      Printf.fprintf oc
+        "    {\"name\": %S, \"proto\": %S, \"completed_ops\": %d, \"ticks\": %d, \
+         \"sim_ops_per_tick\": %.3f, \"latency_ticks\": {\"p50\": %d, \"p95\": %d, \
+         \"p99\": %d, \"max\": %d}}%s\n"
+        name r.Workload.Report.proto r.Workload.Report.completed r.Workload.Report.ticks
+        (float_of_int r.Workload.Report.completed
+        /. float_of_int (max 1 r.Workload.Report.ticks))
+        p50 p95 p99 pmax (sep i serve))
+    serve;
+  Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   Format.eprintf "benchmark JSON written to %s@." file
 

@@ -474,7 +474,7 @@ let chaos_cmd =
   in
   let run protocol_pos protocol_opt n f groups group_size faults max_faults seed runs
       max_steps horizon budget stride jobs dedup shrink static_prune por prune_stats_out
-      schedule timeout witness_out degrade cache_dir no_cache cache_stats =
+      schedule timeout witness_out degrade =
     let name =
       match protocol_pos, protocol_opt with
       | Some p, None | None, Some p -> Ok p
@@ -578,11 +578,9 @@ let chaos_cmd =
           !interrupted
           || match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
         in
-        let cache = cache_of ~cache_dir ~no_cache in
-        let dcache = Option.map (fun c -> c, Analysis.Structhash.system sys) cache in
         let report =
-          Chaos.Driver.run ?monitors ~shrink ~domains:jobs ~dedup ~static_prune ~por
-            ?cache:dcache ~stop mode sys
+          Chaos.Driver.run ?monitors ~shrink ~domains:jobs ~dedup ~static_prune ~por ~stop
+            mode sys
         in
         Sys.set_signal Sys.sigint prev_sigint;
         Format.printf "%a@." Chaos.Driver.pp_report report;
@@ -637,7 +635,6 @@ let chaos_cmd =
           close_out oc;
           Format.printf "witness schedule written to %s@." file
         | _ -> ());
-        finish_cache ~stats_out:cache_stats cache;
         (match report.Chaos.Driver.outcome with
         | Chaos.Driver.Violated _ -> 1
         | Chaos.Driver.Passed -> if report.Chaos.Driver.wall_truncated then 2 else 0))
@@ -648,7 +645,7 @@ let chaos_cmd =
       $ group_size_arg $ faults_arg $ max_faults_arg $ seed_arg $ runs_arg $ max_steps_arg
       $ horizon_arg $ budget_arg $ stride_arg $ jobs_arg $ dedup_arg $ shrink_arg
       $ static_prune_arg $ por_arg $ prune_stats_out_arg $ schedule_arg $ timeout_arg
-      $ witness_out_arg $ degrade_arg $ cache_dir_arg $ no_cache_arg $ cache_stats_arg)
+      $ witness_out_arg $ degrade_arg)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -837,10 +834,12 @@ let serve_cmd =
       let* schedule =
         match schedule with
         | None -> Ok None
-        | Some spec -> (
-          match Chaos.Schedule.parse spec with
-          | Ok s -> Ok (Some s)
-          | Error e -> Error (Printf.sprintf "bad --schedule: %s" e))
+        | Some spec ->
+          (* Checked against the shot system, as `boost chaos` does. *)
+          Result.map_error (Printf.sprintf "bad --schedule: %s")
+            (let* s = Chaos.Schedule.parse spec in
+             let* () = Chaos.Schedule.validate (entry.Registry.build params) s in
+             Ok (Some s))
       in
       let* kinds =
         match faults with
@@ -1207,7 +1206,7 @@ let cache_cmd =
     (Cmd.info "cache"
        ~doc:
          "Inspect or clear the persistent analysis cache populated by `boost lint \
-          --cache` and `boost chaos --cache`.")
+          --cache`.")
     [ status_cmd; clear_cmd ]
 
 (* --- experiments --- *)

@@ -417,42 +417,6 @@ let lint_find t ~key =
       let findings = Lint.decode_findings c in
       Some { human; findings; code })
 
-(* --- typed accessors: quiescence certificates --- *)
-
-let cert_store t ~key cert =
-  let b = Buffer.create 16 in
-  Prune.encode_cert b cert;
-  store t ~kind:"cert" ~key (Buffer.contents b)
-
-(* [Some c] = a stored verdict (itself [None] when the system has no
-   certificate — negative results are cached too); [None] = cache miss. *)
-let cert_find t ~key =
-  lookup t ~kind:"cert" ~key ~decode:(fun payload ->
-      Some (Prune.decode_cert (Codec.cursor payload)))
-
-(* --- typed accessors: footprint summaries --- *)
-
-(* Footprints are positional over the concrete task/service arrays, so the
-   key is the *full* hash (no rename transport — a renamed twin recomputes,
-   which is cheap; the win is the per-run recomputation on POR/static-prune
-   and warm lint paths). [refined] distinguishes reach-refined footprints
-   (the lint pipeline) from structural-only ones (the chaos explorer's POR
-   setup): the two disagree by construction and must not alias. *)
-
-let fp_key ~full_key ~max_crashes ~refined =
-  Printf.sprintf "%s-mc%d-%s" full_key max_crashes (if refined then "r" else "s")
-
-let fp_store t ~key fps =
-  let b = Buffer.create 1024 in
-  Codec.array_out b Footprint.encode fps;
-  store t ~kind:"fp" ~key (Buffer.contents b)
-
-let fp_find t ~key ~n_tasks =
-  lookup t ~kind:"fp" ~key ~decode:(fun payload ->
-      let fps = Codec.array_in (Codec.cursor payload) Footprint.decode in
-      if Array.length fps <> n_tasks then raise (Codec.Corrupt "footprint arity mismatch");
-      Some fps)
-
 (* --- typed accessors: resilience certificates --- *)
 
 (* Keyed by {!Structhash.family} over the whole (n, f) window, so one entry

@@ -120,28 +120,6 @@ type lint_entry = { human : string; findings : Lint.finding list; code : int }
 val lint_store : t -> key:string -> lint_entry -> unit
 val lint_find : t -> key:string -> lint_entry option
 
-val cert_store : t -> key:string -> Prune.cert option -> unit
-(** Quiescence certificates; negative results ([None]) are cached too —
-    recomputing "nothing to prune" costs a full fixpoint. *)
-
-val cert_find : t -> key:string -> Prune.cert option option
-(** [Some c] = a stored verdict (itself [None] when the system has no
-    certificate); [None] = cache miss. *)
-
-val fp_key : full_key:string -> max_crashes:int -> refined:bool -> string
-(** Footprint summaries are positional over the task/service arrays, so the
-    key is the {e full} hash (renamed twins recompute — cheap). [refined]
-    distinguishes reach-refined footprints (the lint pipeline) from
-    structural-only ones (the chaos explorer's POR setup); the two disagree
-    by construction and must not alias. *)
-
-val fp_store : t -> key:string -> Footprint.t array -> unit
-(** One footprint per entry of [sys.tasks], task order. *)
-
-val fp_find : t -> key:string -> n_tasks:int -> Footprint.t array option
-(** Arity-checked against the consuming system's task count; a mismatch
-    quarantines the entry. *)
-
 val pcert_store : t -> key:string -> Cert.t -> unit
 (** Resilience certificates, keyed by {!Structhash.family} over the whole
     (n, f) window — one entry replays an entire parameter sweep. *)

@@ -173,66 +173,6 @@ let of_net_op = function
     let c = Cset.singleton Net_topology in
     { reads = c; writes = c }
 
-(* --- cache serialization ---
-
-   Footprints become first-class cache entries (kind "fp"), so the POR and
-   static-prune paths stop re-deriving them per run. Components are tagged
-   by a single char mirroring the constructor. *)
-
-let encode_component b = function
-  | Pstate i ->
-    Buffer.add_char b 'p';
-    Codec.int_out b i
-  | Decision i ->
-    Buffer.add_char b 'd';
-    Codec.int_out b i
-  | Crash_bit i ->
-    Buffer.add_char b 'c';
-    Codec.int_out b i
-  | Svc_value k ->
-    Buffer.add_char b 'v';
-    Codec.int_out b k
-  | Svc_inv (k, i) ->
-    Buffer.add_char b 'i';
-    Codec.int_out b k;
-    Codec.int_out b i
-  | Svc_resp (k, i) ->
-    Buffer.add_char b 'r';
-    Codec.int_out b k;
-    Codec.int_out b i
-  | Net_topology -> Buffer.add_char b 't'
-
-let decode_component cur =
-  match Codec.next cur with
-  | 'p' -> Pstate (Codec.int_in cur)
-  | 'd' -> Decision (Codec.int_in cur)
-  | 'c' -> Crash_bit (Codec.int_in cur)
-  | 'v' -> Svc_value (Codec.int_in cur)
-  | 'i' ->
-    let k = Codec.int_in cur in
-    Svc_inv (k, Codec.int_in cur)
-  | 'r' ->
-    let k = Codec.int_in cur in
-    Svc_resp (k, Codec.int_in cur)
-  | 't' -> Net_topology
-  | ch -> raise (Codec.Corrupt (Printf.sprintf "bad component tag %c" ch))
-
-let encode_cset b s =
-  Codec.array_out b encode_component (Array.of_list (Cset.elements s))
-
-let decode_cset cur =
-  Array.fold_left (fun acc c -> Cset.add c acc) Cset.empty
-    (Codec.array_in cur decode_component)
-
-let encode b { reads; writes } =
-  encode_cset b reads;
-  encode_cset b writes
-
-let decode cur =
-  let reads = decode_cset cur in
-  let writes = decode_cset cur in
-  { reads; writes }
-
 let pp_component ppf = function
   | Pstate i -> Format.fprintf ppf "proc[%d]" i
   | Decision i -> Format.fprintf ppf "decision[%d]" i

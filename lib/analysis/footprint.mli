@@ -67,16 +67,6 @@ val of_net_op : net_op -> t
     only [Net_topology]. DESIGN.md §3.12 connects this to the Lemma 8 /
     Claim 2 commutation argument lifted to omission faults. *)
 
-(** {1 Cache serialization}
-
-    Footprint arrays persist as first-class cache entries (kind ["fp"]), so
-    POR/static-prune runs and the lint pipeline stop re-deriving them. *)
-
-val encode : Buffer.t -> t -> unit
-
-val decode : Codec.cursor -> t
-(** Raises {!Codec.Corrupt} on malformed input. *)
-
 val pp_component : Format.formatter -> component -> unit
 val pp_cset : Format.formatter -> Cset.t -> unit
 val pp : Format.formatter -> t -> unit

@@ -16,17 +16,7 @@ let analyze ?reach ?max_crashes (sys : System.t) =
   let fps = Array.map snd (Footprint.of_system ?reach ~max_crashes sys) in
   { sys; fps; max_crashes }
 
-(* Rehydrate from cached footprints: sound only for footprints computed for
-   this very system (full-hash-keyed cache entries), which the arity check
-   cheaply cross-checks. *)
-let of_footprints (sys : System.t) ~max_crashes fps =
-  if Array.length fps <> Array.length sys.System.tasks then
-    invalid_arg "Interfere.of_footprints: footprint/task arity mismatch";
-  { sys; fps; max_crashes = max 0 max_crashes }
-
 let max_crashes t = t.max_crashes
-
-let footprints t = Array.mapi (fun i tk -> tk, t.fps.(i)) t.sys.System.tasks
 
 let footprint t tk =
   let rec go i =

@@ -24,15 +24,8 @@ val analyze : ?reach:Reach.t -> ?max_crashes:int -> Model.System.t -> t
     sharpen crash-bit reads. [reach] enables the process-step refinement
     (see {!Footprint.of_task}). *)
 
-val of_footprints : Model.System.t -> max_crashes:int -> Footprint.t array -> t
-(** Rehydrate from cached footprints (one per entry of [sys.tasks], task
-    order). The caller owes footprints computed for this very system —
-    full-hash cache keying guarantees it; the arity check catches gross
-    mismatches. Raises [Invalid_argument] on arity mismatch. *)
-
 val max_crashes : t -> int
 
-val footprints : t -> (Model.Task.t * Footprint.t) array
 val footprint : t -> Model.Task.t -> Footprint.t
 (** Raises [Invalid_argument] for a task not in the system. *)
 

@@ -33,7 +33,6 @@ val analyze :
   ?inputs:Ioa.Value.t list ->
   ?gaps:Guarantee.gap list ->
   ?reach:Reach.t ->
-  ?interference:Interfere.t ->
   Model.System.t ->
   report
 (** [gaps] (from {!Guarantee.gaps} against the protocol's registered claim)
@@ -41,9 +40,7 @@ val analyze :
     paper-explanations for the boosting protocols, not defects. [reach]
     substitutes a (cache-restored) fixpoint solution for the solve; the
     caller owes a solution computed for this system, or one behaviorally
-    identical under its cache key, at the same [max_faults]. Same contract
-    for [interference] (cached footprints via
-    {!Interfere.of_footprints}). *)
+    identical under its cache key, at the same [max_faults]. *)
 
 val severity_name : severity -> string
 (** ["error"] / ["warning"] / ["info"] — the JSON rendering. *)

@@ -3,24 +3,6 @@ module State = Model.State
 
 type cert = { quiescent_from : int; buffers_empty : bool }
 
-(* Cache serialization: negative results (no certificate) are worth storing
-   too — recomputing "nothing to prune" costs a full fixpoint. *)
-let encode_cert b = function
-  | None -> Buffer.add_char b '-'
-  | Some c ->
-    Buffer.add_char b '+';
-    Codec.int_out b c.quiescent_from;
-    Codec.int_out b (if c.buffers_empty then 1 else 0)
-
-let decode_cert cur =
-  match Codec.next cur with
-  | '-' -> None
-  | '+' ->
-    let quiescent_from = Codec.int_in cur in
-    let buffers_empty = Codec.int_in cur <> 0 in
-    Some { quiescent_from; buffers_empty }
-  | ch -> raise (Codec.Corrupt (Printf.sprintf "bad cert tag %c" ch))
-
 let clean_from ?(max_faults = 1) ~inputs ~horizon (sys : System.t) =
   if horizon <= 0 then None
   else begin

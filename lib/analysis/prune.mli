@@ -39,10 +39,3 @@ val clean_from :
 (** The certificate, if one exists with Q < [horizon] (fault steps range
     over [0, horizon), so a later Q prunes nothing). [max_faults] defaults
     to 1 and must cover the explorer's maximum crash count. *)
-
-val encode_cert : Buffer.t -> cert option -> unit
-(** Cache serialization; negative results (no certificate) are encodable
-    too — recomputing "nothing to prune" costs a full fixpoint. *)
-
-val decode_cert : Codec.cursor -> cert option
-(** Raises {!Codec.Corrupt} on malformed input. *)

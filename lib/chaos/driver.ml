@@ -74,373 +74,53 @@ let violated ?monitors ?max_steps ?interleave ?inputs ~shrink sys original =
   Violated
     { original; minimized; shrink_stats; witness = witness_of_violation final; replayed = None }
 
-(* --- the persistent verdict cache ---
-
-   One entry per systematic sweep, keyed by the system's structural hash
-   plus every configuration knob the report can depend on. The payload
-   stores the verdict data only — counters, the per-schedule record table
-   when the parallel engine produced one, and the winning/minimized
-   schedules as schedule strings. Executions are deliberately not stored: a
-   hit re-runs the (deterministic) stored schedules through {!Runner.run}
-   to regenerate the violating prefixes and the witness, and any mismatch
-   with the recorded verdict demotes the entry to corrupt and falls back to
-   a cold sweep. Only default-monitor, default-input, non-wall-truncated
-   sweeps are cached; seeded mode never is. *)
-
-module Codec = Analysis.Codec
-
-let bool_out b v = Codec.int_out b (if v then 1 else 0)
-let bool_in c = Codec.int_in c <> 0
-
-let opt_out item b = function
-  | None -> Buffer.add_char b '-'
-  | Some x ->
-    Buffer.add_char b '+';
-    item b x
-
-let opt_in item c =
-  match Codec.next c with
-  | '-' -> None
-  | '+' -> Some (item c)
-  | ch -> raise (Codec.Corrupt (Printf.sprintf "bad option tag %c" ch))
-
-type vdesc = {
-  v_sched : string;
-  v_monitor : string;
-  v_reason : string;
-  v_proven : bool;
-  v_steps : int;
-}
-
-let desc_of (v : Explore.violation) =
-  {
-    v_sched = Schedule.to_string v.Explore.schedule;
-    v_monitor = v.Explore.monitor;
-    v_reason = v.Explore.reason;
-    v_proven = v.Explore.proven;
-    v_steps = v.Explore.steps;
-  }
-
-let desc_out b d =
-  Codec.string_out b d.v_sched;
-  Codec.string_out b d.v_monitor;
-  Codec.string_out b d.v_reason;
-  bool_out b d.v_proven;
-  Codec.int_out b d.v_steps
-
-let desc_in c =
-  let v_sched = Codec.string_in c in
-  let v_monitor = Codec.string_in c in
-  let v_reason = Codec.string_in c in
-  let v_proven = bool_in c in
-  let v_steps = Codec.int_in c in
-  { v_sched; v_monitor; v_reason; v_proven; v_steps }
-
-(* Violations in the record table never surface in the merge except through
-   the winner (rank-least), so [found] is dropped here and the winner is
-   reattached from the entry-level descriptor at decode time. *)
-let record_out b (r : Explore.run_record) =
-  Codec.int_out b r.Explore.rank;
-  let bits =
-    (if r.Explore.budget_hit then 1 else 0)
-    lor (if r.Explore.deduped then 2 else 0)
-    lor (if r.Explore.statically_pruned then 4 else 0)
-    lor if r.Explore.por_pruned then 8 else 0
-  in
-  Codec.int_out b bits;
-  Codec.int_out b r.Explore.truncations;
-  Codec.int_out b r.Explore.undelivered;
-  Codec.int_out b r.Explore.undelivered_n;
-  Codec.int_out b r.Explore.vacuous;
-  opt_out (fun b p -> Codec.int_out b p) b r.Explore.parent
-
-let record_in c =
-  let rank = Codec.int_in c in
-  let bits = Codec.int_in c in
-  let truncations = Codec.int_in c in
-  let undelivered = Codec.int_in c in
-  let undelivered_n = Codec.int_in c in
-  let vacuous = Codec.int_in c in
-  let parent = opt_in Codec.int_in c in
-  {
-    Explore.rank;
-    budget_hit = bits land 1 <> 0;
-    truncations;
-    undelivered;
-    undelivered_n;
-    vacuous;
-    deduped = bits land 2 <> 0;
-    statically_pruned = bits land 4 <> 0;
-    por_pruned = bits land 8 <> 0;
-    parent;
-    found = None;
-  }
-
-let chaos_key (h : Analysis.Structhash.t) (cfg : Explore.config) ~domains ~dedup
-    ~static_prune ~por ~shrink ~seq =
-  let tokens =
-    [
-      "mf" ^ string_of_int cfg.Explore.max_faults;
-      "h" ^ string_of_int cfg.Explore.horizon;
-      "st" ^ string_of_int cfg.Explore.stride;
-      "b" ^ string_of_int cfg.Explore.budget;
-      "ms" ^ string_of_int cfg.Explore.max_steps;
-      "k"
-      ^ String.concat ","
-          (List.map (fun k -> Format.asprintf "%a" Schedule.pp_kind k) cfg.Explore.kinds);
-      (if cfg.Explore.degrade then "deg" else "nodeg");
-      (* The engine and its pruning knobs all shape the report's counters;
-         [domains] is included because dedup racing can shift which twin of
-         a fingerprint pair gets pruned. *)
-      (if seq then "seq" else "par" ^ string_of_int domains);
-      (if dedup && not seq then "dedup" else "nodedup");
-      (if static_prune then "sp" else "nosp");
-      (if por then "por" else "nopor");
-      (if shrink then "shr" else "noshr");
-      "idef";
-    ]
-  in
-  Printf.sprintf "%s-%s" (Analysis.Structhash.key h)
-    (Analysis.Structhash.hex (Analysis.Structhash.mix_tokens tokens))
-
-(* Deterministic re-execution of a stored schedule under the sweep's
-   effective (default) monitor family; the regenerated run must reproduce
-   the recorded verdict exactly or the entry is rejected. *)
-let replay (cfg : Explore.config) sys d =
-  let schedule =
-    match Schedule.parse d.v_sched with
-    | Ok s -> s
-    | Error e -> raise (Codec.Corrupt ("bad stored schedule: " ^ e))
-  in
-  let monitors = Monitor.defaults ~degrade:cfg.Explore.degrade () in
-  let r = Runner.run ~monitors ~max_steps:cfg.Explore.max_steps ~schedule sys in
-  match r.Runner.stop with
-  | Runner.Violation { monitor; reason; proven }
-    when String.equal monitor d.v_monitor
-         && String.equal reason d.v_reason
-         && proven = d.v_proven
-         && r.Runner.steps = d.v_steps ->
-    {
-      Explore.schedule;
-      monitor;
-      reason;
-      proven;
-      exec = r.Runner.exec;
-      steps = r.Runner.steps;
-      degraded_to =
-        (if cfg.Explore.degrade then Some (Degrade.describe sys r.Runner.exec) else None);
-    }
-  | _ -> raise (Codec.Corrupt "stored verdict does not replay")
-
-let encode_entry b (r : Explore.report) ~records ~outcome =
-  (match records with
-  | None ->
-    Buffer.add_char b 'S';
-    Codec.int_out b r.Explore.examined;
-    Codec.int_out b r.Explore.space;
-    bool_out b r.Explore.truncated;
-    Codec.int_out b r.Explore.step_budget_hits;
-    Codec.int_out b r.Explore.monitor_truncations;
-    Codec.int_out b r.Explore.undelivered_crashes;
-    Codec.int_out b r.Explore.undelivered_net;
-    Codec.int_out b r.Explore.vacuous_net_faults;
-    Codec.int_out b r.Explore.dedup_hits;
-    Codec.int_out b r.Explore.static_prunes;
-    Codec.int_out b r.Explore.por_prunes
-  | Some recs ->
-    Buffer.add_char b 'R';
-    Codec.int_out b r.Explore.space;
-    Codec.int_out b (List.length recs);
-    List.iter (record_out b) recs);
-  match outcome with
-  | Passed -> Buffer.add_char b 'P'
-  | Violated { original; minimized; shrink_stats; _ } ->
-    Buffer.add_char b 'V';
-    (* The winning rank ([examined] counts through it) keys the reattachment
-       of the violation into the record table. *)
-    Codec.int_out b (r.Explore.examined - 1);
-    desc_out b (desc_of original);
-    opt_out (fun b m -> desc_out b (desc_of m)) b minimized;
-    opt_out
-      (fun b (st : Shrink.stats) ->
-        Codec.int_out b st.Shrink.candidates;
-        Codec.int_out b st.Shrink.runs)
-      b shrink_stats
-
-let decode_entry (cfg : Explore.config) sys payload =
-  let c = Codec.cursor payload in
-  let shape = Codec.next c in
-  let counters, records =
-    match shape with
-    | 'S' ->
-      let examined = Codec.int_in c in
-      let space = Codec.int_in c in
-      let truncated = bool_in c in
-      let step_budget_hits = Codec.int_in c in
-      let monitor_truncations = Codec.int_in c in
-      let undelivered_crashes = Codec.int_in c in
-      let undelivered_net = Codec.int_in c in
-      let vacuous_net_faults = Codec.int_in c in
-      let dedup_hits = Codec.int_in c in
-      let static_prunes = Codec.int_in c in
-      let por_prunes = Codec.int_in c in
-      ( Some
-          {
-            Explore.examined;
-            space;
-            truncated;
-            wall_truncated = false;
-            step_budget_hits;
-            monitor_truncations;
-            undelivered_crashes;
-            undelivered_net;
-            vacuous_net_faults;
-            dedup_hits;
-            static_prunes;
-            por_prunes;
-            violation = None;
-          },
-        None )
-    | 'R' ->
-      let space = Codec.int_in c in
-      if space <> Explore.space_size sys cfg then
-        raise (Codec.Corrupt "stored space does not match the configuration");
-      let n = Codec.int_in c in
-      if n < 0 then raise (Codec.Corrupt "negative record count");
-      None, Some (space, List.init n (fun _ -> record_in c))
-    | ch -> raise (Codec.Corrupt (Printf.sprintf "bad entry shape %c" ch))
-  in
-  let finish violation =
-    match counters, records with
-    | Some er, _ -> { er with Explore.violation = Option.map snd violation }
-    | None, Some (space, recs) ->
-      let recs =
-        match violation with
-        | None -> recs
-        | Some (rank, v) ->
-          List.map
-            (fun (rr : Explore.run_record) ->
-              if rr.Explore.rank = rank then { rr with Explore.found = Some v } else rr)
-            recs
-      in
-      let scheduled = min (max 0 cfg.Explore.budget) space in
-      let er = Explore.merge ~space ~scheduled [ recs ] in
-      if (violation <> None) <> Option.is_some er.Explore.violation then
-        raise (Codec.Corrupt "winning rank missing from the record table");
-      er
-    | None, None -> assert false
-  in
-  match Codec.next c with
-  | 'P' -> finish None, Passed
-  | 'V' ->
-    let rank = Codec.int_in c in
-    let original_desc = desc_in c in
-    let minimized_desc = opt_in desc_in c in
-    let shrink_stats =
-      opt_in
-        (fun c ->
-          let candidates = Codec.int_in c in
-          let runs = Codec.int_in c in
-          { Shrink.candidates; runs })
-        c
-    in
-    let original = replay cfg sys original_desc in
-    let minimized = Option.map (replay cfg sys) minimized_desc in
-    let final = Option.value minimized ~default:original in
-    let outcome =
-      Violated
-        {
-          original;
-          minimized;
-          shrink_stats;
-          witness = witness_of_violation final;
-          replayed = None;
-        }
-    in
-    finish (Some (rank, original)), outcome
-  | ch -> raise (Codec.Corrupt (Printf.sprintf "bad outcome tag %c" ch))
-
-let systematic_report mode (r : Explore.report) outcome =
-  {
-    mode;
-    examined = r.Explore.examined;
-    space = r.Explore.space;
-    truncated = r.Explore.truncated;
-    wall_truncated = r.Explore.wall_truncated;
-    step_budget_hits = r.Explore.step_budget_hits;
-    monitor_truncations = r.Explore.monitor_truncations;
-    undelivered_crashes = r.Explore.undelivered_crashes;
-    undelivered_net = r.Explore.undelivered_net;
-    vacuous_net_faults = r.Explore.vacuous_net_faults;
-    dedup_hits = r.Explore.dedup_hits;
-    static_prunes = r.Explore.static_prunes;
-    por_prunes = r.Explore.por_prunes;
-    outcome;
-  }
-
 let run ?monitors ?inputs ?(shrink = true) ?(domains = 1) ?(dedup = true)
-    ?(static_prune = false) ?(por = false) ?cache ?(stop = fun () -> false) mode sys =
+    ?(static_prune = false) ?(por = false) ?(stop = fun () -> false) mode sys =
   match mode with
-  | Systematic config -> (
-    let seq = domains <= 1 && not static_prune && not por in
-    let cache_ctx =
-      (* Cacheable sweeps only: default monitors (a custom family cannot be
-         keyed) and default inputs. *)
-      match cache, monitors, inputs with
-      | Some (c, h), None, None ->
-        Some (c, chaos_key h config ~domains ~dedup ~static_prune ~por ~shrink ~seq)
-      | _ -> None
+  | Systematic config ->
+    let r =
+      (* One domain keeps the trusted sequential path, byte-identical to the
+         pre-parallel engine; more domains (or either static oracle) go
+         through the deduplicated work-stealing explorer. The explorer gets
+         the caller's monitors verbatim — its static oracles key on the
+         caller not overriding the (degrade-aware) defaults. *)
+      if domains <= 1 && not static_prune && not por then
+        Explore.run ?monitors ?inputs ~config ~stop sys
+      else
+        Explore.run_par ?monitors ?inputs ~config ~domains ~dedup ~static_prune ~por ~stop
+          sys
     in
-    let cached =
-      match cache_ctx with
-      | None -> None
-      | Some (c, key) ->
-        Analysis.Cache.lookup c ~kind:"chaos" ~key
-          ~decode:(fun payload -> Some (decode_entry config sys payload))
+    let shrink_monitors =
+      (* The shrinker must judge candidates by the same family the explorer
+         ran, or a degrade-aware violation could "vanish" while minimizing. *)
+      match monitors with
+      | Some _ -> monitors
+      | None ->
+        if config.Explore.degrade then Some (Monitor.defaults ~degrade:true ()) else None
     in
-    match cached with
-    | Some (r, outcome) -> systematic_report mode r outcome
-    | None ->
-      let recorded = ref None in
-      let r =
-        (* One domain keeps the trusted sequential path, byte-identical to the
-           pre-parallel engine; more domains (or either static oracle) go
-           through the deduplicated work-stealing explorer. The explorer gets
-           the caller's monitors verbatim — its static oracles key on the
-           caller not overriding the (degrade-aware) defaults. *)
-        if seq then Explore.run ?monitors ?inputs ~config ~stop sys
-        else
-          Explore.run_par ?monitors ?inputs ~config ~domains ~dedup ~static_prune ~por
-            ?cache:(Option.map (fun (c, h) -> c, Analysis.Structhash.key h) cache)
-            ?record_sink:
-              (match cache_ctx with
-              | Some _ -> Some (fun recs -> recorded := Some recs)
-              | None -> None)
-            ~stop sys
-      in
-      let shrink_monitors =
-        (* The shrinker must judge candidates by the same family the explorer
-           ran, or a degrade-aware violation could "vanish" while minimizing. *)
-        match monitors with
-        | Some _ -> monitors
-        | None ->
-          if config.Explore.degrade then Some (Monitor.defaults ~degrade:true ())
-          else None
-      in
-      let outcome =
-        match r.Explore.violation with
-        | None -> Passed
-        | Some v ->
-          violated ?monitors:shrink_monitors ~max_steps:config.Explore.max_steps ?inputs
-            ~shrink sys v
-      in
-      (match cache_ctx with
-      | Some (c, key) when not r.Explore.wall_truncated ->
-        let b = Buffer.create 1024 in
-        encode_entry b r ~records:!recorded ~outcome;
-        Analysis.Cache.store c ~kind:"chaos" ~key (Buffer.contents b)
-      | _ -> ());
-      systematic_report mode r outcome)
+    let outcome =
+      match r.Explore.violation with
+      | None -> Passed
+      | Some v ->
+        violated ?monitors:shrink_monitors ~max_steps:config.Explore.max_steps ?inputs
+          ~shrink sys v
+    in
+    {
+      mode;
+      examined = r.Explore.examined;
+      space = r.Explore.space;
+      truncated = r.Explore.truncated;
+      wall_truncated = r.Explore.wall_truncated;
+      step_budget_hits = r.Explore.step_budget_hits;
+      monitor_truncations = r.Explore.monitor_truncations;
+      undelivered_crashes = r.Explore.undelivered_crashes;
+      undelivered_net = r.Explore.undelivered_net;
+      vacuous_net_faults = r.Explore.vacuous_net_faults;
+      dedup_hits = r.Explore.dedup_hits;
+      static_prunes = r.Explore.static_prunes;
+      por_prunes = r.Explore.por_prunes;
+      outcome;
+    }
   | Seeded { seed; runs; max_faults; horizon; max_steps; kinds; degrade } ->
     let monitors =
       (* Same degrade-aware defaulting as the systematic path; the seeded

@@ -80,7 +80,6 @@ val run :
   ?dedup:bool ->
   ?static_prune:bool ->
   ?por:bool ->
-  ?cache:Analysis.Cache.t * Analysis.Structhash.t ->
   ?stop:(unit -> bool) ->
   mode ->
   Model.System.t ->
@@ -90,20 +89,6 @@ val run :
     through {!Explore.run_par} with [dedup] (default true); otherwise the
     sequential {!Explore.run} path is kept, byte-identical to the
     pre-parallel engine. Seeded mode ignores all four.
-
-    [cache] — a persistent analysis cache plus the system's structural
-    hash — enables the verdict cache for systematic sweeps with default
-    monitors and inputs: one entry per sweep, keyed by the structural hash
-    and every configuration knob, storing the counters (per schedule, when
-    the parallel engine ran), the winning and minimized schedules as
-    strings, and the shrink statistics. A warm hit skips the exploration
-    and the shrinker, re-running only the stored schedules (deterministic
-    {!Runner.run}) to regenerate the violating prefixes and the witness;
-    a replay that does not reproduce the recorded verdict quarantines the
-    entry and falls back to a cold sweep. Wall-truncated sweeps are never
-    stored; seeded mode and custom monitors bypass the cache entirely.
-    The quiescence certificate consulted by [static_prune] is cached under
-    the same handle.
 
     [stop] (default never) is the wall-clock budget: polled between
     candidate schedules in every mode; once it returns true no further

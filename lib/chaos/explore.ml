@@ -368,32 +368,10 @@ type por_ctx = {
   svc_pos : (string * int) list;
 }
 
-let por_deps ?cache cfg (sys : Model.System.t) =
+let por_deps cfg (sys : Model.System.t) =
   (* All dependence rows, precomputed eagerly (workers share this read-only;
-     the footprints are sharpened by the exploration's own fault bound).
-     Footprints are first-class cache entries (kind "fp", structural —
-     no reach refinement here), so a warm --por run skips the whole
-     derivation; the dependence rows are cheap bit tests over them. *)
-  let inter =
-    let compute () = Analysis.Interfere.analyze ~max_crashes:cfg.max_faults sys in
-    match cache with
-    | None -> compute ()
-    | Some (c, prefix) -> (
-      let key =
-        Analysis.Cache.fp_key ~full_key:prefix ~max_crashes:cfg.max_faults
-          ~refined:false
-      in
-      match
-        Analysis.Cache.fp_find c ~key
-          ~n_tasks:(Array.length sys.Model.System.tasks)
-      with
-      | Some fps -> Analysis.Interfere.of_footprints sys ~max_crashes:cfg.max_faults fps
-      | None ->
-        let itf = compute () in
-        Analysis.Cache.fp_store c ~key
-          (Array.map snd (Analysis.Interfere.footprints itf));
-        itf)
-  in
+     the footprints are sharpened by the exploration's own fault bound). *)
+  let inter = Analysis.Interfere.analyze ~max_crashes:cfg.max_faults sys in
   let tasks = sys.Model.System.tasks in
   let crash_dep =
     Array.init (Model.System.n_processes sys) (fun pid ->
@@ -562,7 +540,7 @@ let por_slide ~ctx ~stride ~degrade ~max_steps ~n_tasks (s : Schedule.t) =
   end
 
 let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
-    ?(static_prune = false) ?(por = false) ?cache ?record_sink
+    ?(static_prune = false) ?(por = false)
     ?(stop = fun () -> false) (sys : Model.System.t) =
   let cfg = match config with Some c -> c | None -> default_config sys in
   let space = space_size sys cfg in
@@ -587,26 +565,10 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
       static_prune && monitors = None
       && (match interleave with Some (Runner.Seeded _) -> false | _ -> true)
       && cfg.horizon + cfg.max_faults + n_tasks + 2 <= cfg.max_steps
-    then begin
-      let compute () =
-        Analysis.Prune.clean_from ~max_faults:cfg.max_faults
-          ~inputs:(match inputs with Some l -> l | None -> Runner.default_inputs sys)
-          ~horizon:cfg.horizon sys
-      in
-      (* The certificate is one full Reach fixpoint; consult the persistent
-         cache when the caller supplied one. Only default inputs are keyed
-         (the CLI never overrides them); negative verdicts are cached too. *)
-      match cache with
-      | Some (c, prefix) when inputs = None -> (
-        let key = Printf.sprintf "%s-mf%d-h%d-idef" prefix cfg.max_faults cfg.horizon in
-        match Analysis.Cache.cert_find c ~key with
-        | Some verdict -> verdict
-        | None ->
-          let v = compute () in
-          Analysis.Cache.cert_store c ~key v;
-          v)
-      | _ -> compute ()
-    end
+    then
+      Analysis.Prune.clean_from ~max_faults:cfg.max_faults
+        ~inputs:(match inputs with Some l -> l | None -> Runner.default_inputs sys)
+        ~horizon:cfg.horizon sys
     else None
   in
   let por_dep =
@@ -620,7 +582,7 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
       por && monitors = None
       && (match interleave with Some (Runner.Seeded _) -> false | _ -> true)
       && cfg.horizon + cfg.max_faults + n_tasks + 2 <= cfg.max_steps
-    then Some (por_deps ?cache cfg sys)
+    then Some (por_deps cfg sys)
     else None
   in
   let rank_of =
@@ -952,9 +914,6 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
       ]
     end
   in
-  (match record_sink with
-  | Some sink -> sink (List.concat partials)
-  | None -> ());
   merge ~wall:(Atomic.get wall_stopped) ~space ~scheduled partials
 
 let pp_report ppf r =

@@ -174,22 +174,11 @@ val run_par :
   ?dedup:bool ->
   ?static_prune:bool ->
   ?por:bool ->
-  ?cache:Analysis.Cache.t * string ->
-  ?record_sink:(run_record list -> unit) ->
   ?stop:(unit -> bool) ->
   Model.System.t ->
   report
 (** [domains] defaults to 1 (same worker machinery, no spawned domains);
     [dedup] defaults to true.
-
-    [cache] — a persistent analysis cache plus the system's structural-hash
-    key prefix: the quiescence certificate ({!Analysis.Prune.clean_from}, a
-    full Reach fixpoint) is looked up / stored under it instead of being
-    recomputed per exploration. Consulted only for default inputs; negative
-    verdicts are cached too. [record_sink], when given, receives the final
-    resolved per-schedule records just before they are merged — the hook
-    the chaos verdict cache persists its per-schedule verdict table
-    through.
 
     With [static_prune] (default false), the abstract-interpretation oracle
     {!Analysis.Prune.clean_from} certifies a quiescence step Q once per

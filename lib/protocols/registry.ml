@@ -218,10 +218,8 @@ let render_lint name r =
 
 let lint ?cache ?(max_faults = 1) (e : entry) (p : params) =
   let sys = e.build p in
-  let fresh ?reach ?interference ?hash ~store () =
-    let r =
-      Analysis.Lint.analyze ~max_faults ~gaps:(gaps e p sys) ?reach ?interference sys
-    in
+  let fresh ?reach ?hash ~store () =
+    let r = Analysis.Lint.analyze ~max_faults ~gaps:(gaps e p sys) ?reach sys in
     let res =
       {
         name = e.name;
@@ -254,32 +252,16 @@ let lint ?cache ?(max_faults = 1) (e : entry) (p : params) =
     | None ->
       (* Semantic fallback: a fixpoint solution stored under the semantic
          key — possibly by a renamed or service-permuted twin — skips the
-         solve; only the cheap harvest and rendering re-run. Footprint
-         summaries are their own first-class entry (full-hash keyed, reach-
-         refined), so a presentation miss that still has them skips the
-         whole refinement pass. *)
+         solve; only the cheap harvest, footprint refinement and rendering
+         re-run. *)
       let reach =
         Analysis.Cache.reach_find c h ~max_faults ~inputs_key:inputs_key_default sys
       in
-      let fkey =
-        Analysis.Cache.fp_key ~full_key:(Analysis.Structhash.key h)
-          ~max_crashes:max_faults ~refined:true
-      in
-      let fps =
-        Analysis.Cache.fp_find c ~key:fkey
-          ~n_tasks:(Array.length sys.Model.System.tasks)
-      in
-      let interference =
-        Option.map (Analysis.Interfere.of_footprints sys ~max_crashes:max_faults) fps
-      in
-      fresh ?reach ?interference ~hash:h
+      fresh ?reach ~hash:h
         ~store:(fun r res ->
           if Option.is_none reach then
             Analysis.Cache.reach_store c h ~max_faults ~inputs_key:inputs_key_default
               r.Analysis.Lint.reach;
-          if Option.is_none fps then
-            Analysis.Cache.fp_store c ~key:fkey
-              (Array.map snd (Analysis.Interfere.footprints r.Analysis.Lint.interference));
           Analysis.Cache.lint_store c ~key
             {
               Analysis.Cache.human = res.human;

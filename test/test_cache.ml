@@ -294,6 +294,29 @@ let test_lint_warm_equals_cold () =
         b.Registry.human;
       Alcotest.(check int) ("code " ^ a.Registry.name) a.Registry.code b.Registry.code)
     cold warm;
+  (* The semantic fallback: with every rendered report gone, each protocol
+     misses its lint entry, replays its stored reach solution (the solve is
+     skipped; harvest, footprints and rendering re-run) and rewrites the
+     lint entry — byte-identical to the cold run. *)
+  List.iter
+    (fun f ->
+      if String.starts_with ~prefix:"lint-" f then Sys.remove (Filename.concat dir f))
+    (entry_files dir);
+  let c3 = Cache.open_ ~dir in
+  let via_reach = lint_fleet ~cache:c3 () in
+  let n = List.length Registry.all in
+  Alcotest.(check int) "reach run: one reach hit per protocol" n c3.Cache.stats.Cache.hits;
+  Alcotest.(check int) "reach run: one lint miss per protocol" n
+    c3.Cache.stats.Cache.misses;
+  Alcotest.(check int) "reach run: only lint entries rewritten" n
+    c3.Cache.stats.Cache.writes;
+  List.iter2
+    (fun (a : Registry.lint_result) (b : Registry.lint_result) ->
+      Alcotest.(check string) ("via reach " ^ a.Registry.name) a.Registry.human
+        b.Registry.human;
+      Alcotest.(check int) ("via reach code " ^ a.Registry.name) a.Registry.code
+        b.Registry.code)
+    cold via_reach;
   ignore (Cache.clear ~dir)
 
 (* Change-impact: after "editing" exactly one protocol, a warm sweep
@@ -316,77 +339,10 @@ let test_single_edit_reanalyzes_one () =
   Alcotest.(check int) "hits: everyone else"
     (List.length Registry.all - 1)
     c2.Cache.stats.Cache.hits;
-  (* The edited protocol misses its lint entry, then its reach and
-     footprint entries. *)
-  Alcotest.(check int) "misses: the edited protocol only" 3 c2.Cache.stats.Cache.misses;
-  Alcotest.(check int) "writes: its three fresh entries" 3 c2.Cache.stats.Cache.writes;
+  (* The edited protocol misses its lint entry, then its reach entry. *)
+  Alcotest.(check int) "misses: the edited protocol only" 2 c2.Cache.stats.Cache.misses;
+  Alcotest.(check int) "writes: its two fresh entries" 2 c2.Cache.stats.Cache.writes;
   ignore (Cache.clear ~dir)
-
-(* --- the chaos verdict cache --- *)
-
-let chaos_config =
-  {
-    Chaos.Explore.max_faults = 1;
-    horizon = 8;
-    stride = 1;
-    budget = 500;
-    max_steps = 400;
-    kinds = [ Chaos.Schedule.Crash_k ];
-    degrade = false;
-  }
-
-let render_report = Format.asprintf "%a" Chaos.Driver.pp_report
-
-let chaos_differential ~name ~domains ~static_prune () =
-  let dir = scratch () in
-  let e = Option.get (Registry.find name) in
-  let sys () = e.Registry.build Registry.default_params in
-  let run ?cache () =
-    let sys = sys () in
-    let cache = Option.map (fun c -> c, Structhash.system sys) cache in
-    Chaos.Driver.run ~domains ~static_prune ?cache (Chaos.Driver.Systematic chaos_config)
-      sys
-  in
-  let cold = render_report (run ()) in
-  let c1 = Cache.open_ ~dir in
-  let first = render_report (run ~cache:c1 ()) in
-  Alcotest.(check int) "cold: no verdict hits" 0 c1.Cache.stats.Cache.hits;
-  let c2 = Cache.open_ ~dir in
-  let warm = render_report (run ~cache:c2 ()) in
-  Alcotest.(check bool) "warm: replayed from cache" true
-    (c2.Cache.stats.Cache.hits >= 1 && c2.Cache.stats.Cache.misses = 0);
-  Alcotest.(check string) "populate = cold" cold first;
-  Alcotest.(check string) "replay = cold" cold warm;
-  (* Tamper with the stored verdict: the decoder (or the replay validation)
-     rejects it, the entry is quarantined, and the cold path reproduces the
-     same report. *)
-  (match
-     List.find_opt
-       (fun f -> String.length f > 6 && String.sub f 0 6 = "chaos-")
-       (entry_files dir)
-   with
-  | None -> Alcotest.fail "no chaos entry stored"
-  | Some f ->
-    let path = Filename.concat dir f in
-    let content = In_channel.with_open_bin path In_channel.input_all in
-    Out_channel.with_open_bin path (fun oc ->
-        Out_channel.output_string oc
-          (String.sub content 0 (String.length content - 2))));
-  let c3 = Cache.open_ ~dir in
-  let requickened = render_report (run ~cache:c3 ()) in
-  Alcotest.(check string) "tampered entry falls back cold" cold requickened;
-  Alcotest.(check bool) "tampering was noticed" true
-    (c3.Cache.stats.Cache.corrupt >= 1);
-  ignore (Cache.clear ~dir)
-
-let test_chaos_verdict_cache_violating () =
-  chaos_differential ~name:"register-wait" ~domains:1 ~static_prune:false ()
-
-let test_chaos_verdict_cache_passing () =
-  chaos_differential ~name:"register-vote" ~domains:1 ~static_prune:false ()
-
-let test_chaos_verdict_cache_parallel () =
-  chaos_differential ~name:"register-wait" ~domains:2 ~static_prune:true ()
 
 let suite =
   ( "cache",
@@ -405,10 +361,4 @@ let suite =
         test_lint_warm_equals_cold;
       Alcotest.test_case "one edit re-analyzes one protocol" `Quick
         test_single_edit_reanalyzes_one;
-      Alcotest.test_case "chaos verdicts: violating sweep" `Quick
-        test_chaos_verdict_cache_violating;
-      Alcotest.test_case "chaos verdicts: passing sweep" `Quick
-        test_chaos_verdict_cache_passing;
-      Alcotest.test_case "chaos verdicts: parallel engine" `Quick
-        test_chaos_verdict_cache_parallel;
     ] )

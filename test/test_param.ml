@@ -307,74 +307,21 @@ let test_family_key_moves () =
     (not (String.equal base (Registry.family_key edited)));
   Alcotest.(check string) "stable otherwise" base (Registry.family_key e)
 
-(* --- footprint summaries as first-class cache entries --- *)
-
-let test_fp_roundtrip () =
-  let sys = build "tob" (params 3 1) in
-  let itf = Analysis.Interfere.analyze ~max_crashes:1 sys in
-  let fps = Array.map snd (Analysis.Interfere.footprints itf) in
-  let dir = scratch () in
-  let c = Cache.open_ ~dir in
-  let key = Cache.fp_key ~full_key:"test" ~max_crashes:1 ~refined:false in
-  Cache.fp_store c ~key fps;
-  (match Cache.fp_find c ~key ~n_tasks:(Array.length fps) with
-  | None -> Alcotest.fail "stored footprints not found"
-  | Some fps' ->
-    Alcotest.(check int) "arity" (Array.length fps) (Array.length fps');
-    Array.iteri
-      (fun i (fp : Analysis.Footprint.t) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "task %d round-trips" i)
-          true
-          (Analysis.Footprint.Cset.equal fp.Analysis.Footprint.reads
-             fps'.(i).Analysis.Footprint.reads
-          && Analysis.Footprint.Cset.equal fp.Analysis.Footprint.writes
-               fps'.(i).Analysis.Footprint.writes))
-      fps);
-  (* A wrong-arity consumer quarantines rather than trusts the entry. *)
-  let c2 = Cache.open_ ~dir in
-  Alcotest.(check bool) "arity mismatch rejected" true
-    (Cache.fp_find c2 ~key ~n_tasks:(Array.length fps + 1) = None);
-  Alcotest.(check int) "counted corrupt" 1 c2.Cache.stats.Cache.corrupt;
-  ignore (Cache.clear ~dir)
-
-let test_lint_via_cached_footprints () =
-  (* A presentation miss whose footprint entry is warm must reproduce the
-     cache-less report byte for byte — the footprints feed the interference
-     relation, the race pass, and the rendered summary. *)
-  let e = entry "tob" in
-  let p = params 3 1 in
-  let reference = Registry.lint ~max_faults:1 e p in
-  let dir = scratch () in
-  let c = Cache.open_ ~dir in
-  let sys = e.Registry.build p in
-  let h = Structhash.system sys in
-  let r = Analysis.Lint.analyze ~max_faults:1 ~gaps:(Registry.gaps e p sys) sys in
-  Cache.fp_store c
-    ~key:(Cache.fp_key ~full_key:(Structhash.key h) ~max_crashes:1 ~refined:true)
-    (Array.map snd (Analysis.Interfere.footprints r.Analysis.Lint.interference));
-  let via_fp = Registry.lint ~cache:c ~max_faults:1 e p in
-  Alcotest.(check int) "footprint entry hit" 1 c.Cache.stats.Cache.hits;
-  Alcotest.(check string) "report byte-identical" reference.Registry.human
-    via_fp.Registry.human;
-  Alcotest.(check int) "code identical" reference.Registry.code via_fp.Registry.code;
-  ignore (Cache.clear ~dir)
-
 (* --- the stats JSON kinds census --- *)
 
 let test_stats_json_kinds () =
   let dir = scratch () in
   let c = Cache.open_ ~dir in
   Cache.store c ~kind:"lint" ~key:"k1" "x";
-  Cache.store c ~kind:"fp" ~key:"k2" "y";
+  Cache.store c ~kind:"reach" ~key:"k2" "y";
   Cache.store c ~kind:"pcert" ~key:"k3" "z";
-  Cache.store c ~kind:"fp" ~key:"k4" "w";
+  Cache.store c ~kind:"reach" ~key:"k4" "w";
   let json = Cache.stats_json c in
   Alcotest.(check bool) "kinds object present" true (contains json "\"kinds\"");
-  Alcotest.(check bool) "fp counted" true (contains json "\"fp\": 2");
+  Alcotest.(check bool) "reach counted" true (contains json "\"reach\": 2");
   Alcotest.(check bool) "lint counted" true (contains json "\"lint\": 1");
   Alcotest.(check bool) "pcert counted" true (contains json "\"pcert\": 1");
-  (* Deterministic sorted order: fp before lint before pcert. *)
+  (* Deterministic sorted order: lint before pcert before reach. *)
   let idx needle =
     let rec go i =
       if i + String.length needle > String.length json then -1
@@ -384,7 +331,7 @@ let test_stats_json_kinds () =
     go 0
   in
   Alcotest.(check bool) "sorted by kind" true
-    (idx "\"fp\"" < idx "\"lint\"" && idx "\"lint\"" < idx "\"pcert\"");
+    (idx "\"lint\"" < idx "\"pcert\"" && idx "\"pcert\"" < idx "\"reach\"");
   ignore (Cache.clear ~dir)
 
 let suite =
@@ -412,9 +359,6 @@ let suite =
       test_warm_sweep_hits;
     Alcotest.test_case "family key moves on a single-point edit" `Quick
       test_family_key_moves;
-    Alcotest.test_case "footprints round-trip the cache" `Quick test_fp_roundtrip;
-    Alcotest.test_case "lint via cached footprints is byte-identical" `Quick
-      test_lint_via_cached_footprints;
     Alcotest.test_case "stats JSON groups entries by kind, sorted" `Quick
       test_stats_json_kinds;
   ] )
