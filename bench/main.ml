@@ -3,12 +3,10 @@
    EXPERIMENTS.md) and then times the core computations with Bechamel, one
    Test.make per experiment.
 
-   Run with: dune exec bench/main.exe -- [-j N] [--json FILE] [--only SUBSTR]
+   Run with: dune exec bench/main.exe -- [-j N] [--only SUBSTR]
    -j N sizes the parallel chaos kernels (default 4 domains);
-   --json FILE additionally writes every kernel as machine-readable JSON
-   (name, mean ms, derived ops/sec, plus the serve engine's simulated
-   latency percentiles) — the CI artifact;
-   --only SUBSTR times only the kernels whose name contains SUBSTR. *)
+   --only SUBSTR times only the kernels whose name contains SUBSTR.
+   The serve engine is timed, and its output checked, by perfbench/. *)
 
 open Bechamel
 open Toolkit
@@ -23,7 +21,6 @@ let argv_value flag =
   find 1
 
 let jobs = max 1 (Option.value (Option.bind (argv_value "-j") int_of_string_opt) ~default:4)
-let json_out = argv_value "--json"
 let only = argv_value "--only"
 
 (* --- Part 1: the reproduction tables (paper-vs-measured) --- *)
@@ -515,40 +512,6 @@ let print_cache_rates () =
   Format.printf "%-36s %5.1f%%  %a@." "analysis/sweep-grid-warm" (rate c_sweep)
     Analysis.Cache.pp_stats c_sweep
 
-(* The multi-shot RSM workload engine: one clean serve run and one with the
-   mixed crash+partition timeline of @workload-smoke. The derived ops/sec in
-   the JSON artifact divides each kernel's completed operations by its mean
-   wall time; the simulated latency percentiles come from the deterministic
-   report of one untimed run of that kernel's configuration (identical every
-   time by the seeded-replay contract). *)
-let serve_schedule spec =
-  match Chaos.Schedule.parse spec with
-  | Ok s -> Some s
-  | Error e -> invalid_arg e
-
-let serve_cfg ~faults =
-  {
-    (Workload.Engine.default_config ~proto:"direct" ()) with
-    Workload.Engine.clients = 8;
-    ops = 400;
-    rate = 8;
-    batch = 8;
-    pipeline = 2;
-    rejoin_after = 12;
-    seed = 7;
-    schedule = (if faults then serve_schedule "crash@6:1,partition@20:0|1.2:32" else None);
-  }
-
-let serve_kernels =
-  [ "serve/direct-clean", serve_cfg ~faults:false;
-    "serve/direct-mixed-faults", serve_cfg ~faults:true ]
-
-let serve_benches =
-  List.map
-    (fun (name, cfg) ->
-      Test.make ~name (Staged.stage (fun () -> ignore (Workload.Engine.run cfg))))
-    serve_kernels
-
 let tests =
   ([
       bench_canonical_ops;
@@ -594,7 +557,7 @@ let tests =
       bench_state_hash;
       bench_transition;
     ]
-    @ serve_benches @ valence_benches)
+    @ valence_benches)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -635,55 +598,9 @@ let run_benchmarks () =
       if Float.is_nan ns then Format.printf "%-36s  (no estimate)@." name
       else if ns > 1e6 then Format.printf "%-36s %10.3f ms/run@." name (ns /. 1e6)
       else Format.printf "%-36s %10.1f ns/run@." name ns)
-    rows;
-  rows
-
-(* The machine-readable artifact: every kernel with its mean wall time and a
-   derived throughput — serve kernels divide their own run's completed
-   operations by the mean (true ops/sec of the engine), everything else
-   reports runs/sec. Each timed serve kernel's deterministic latency
-   percentiles ride along. *)
-let write_json file rows =
-  let oc = open_out file in
-  let rows = List.filter (fun (_, ns) -> not (Float.is_nan ns)) rows in
-  (* Row names carry the Bechamel group prefix. *)
-  let timed k = List.exists (fun (name, _) -> String.ends_with ~suffix:k name) rows in
-  let serve =
-    List.filter_map
-      (fun (k, cfg) -> if timed k then Some (k, Workload.Engine.run cfg) else None)
-      serve_kernels
-  in
-  let ops_of name ns =
-    match List.find_opt (fun (k, _) -> String.ends_with ~suffix:k name) serve with
-    | Some (_, r) -> float_of_int r.Workload.Report.completed /. (ns /. 1e9)
-    | None -> 1e9 /. ns
-  in
-  let sep i l = if i = List.length l - 1 then "" else "," in
-  Printf.fprintf oc "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "    {\"name\": %S, \"mean_ms\": %.6f, \"ops_per_sec\": %.1f}%s\n"
-        name (ns /. 1e6) (ops_of name ns) (sep i rows))
-    rows;
-  Printf.fprintf oc "  ],\n  \"serve\": [\n";
-  List.iteri
-    (fun i (name, (r : Workload.Report.t)) ->
-      let p50, p95, p99, pmax = Workload.Report.latency_summary r in
-      Printf.fprintf oc
-        "    {\"name\": %S, \"proto\": %S, \"completed_ops\": %d, \"ticks\": %d, \
-         \"sim_ops_per_tick\": %.3f, \"latency_ticks\": {\"p50\": %d, \"p95\": %d, \
-         \"p99\": %d, \"max\": %d}}%s\n"
-        name r.Workload.Report.proto r.Workload.Report.completed r.Workload.Report.ticks
-        (float_of_int r.Workload.Report.completed
-        /. float_of_int (max 1 r.Workload.Report.ticks))
-        p50 p95 p99 pmax (sep i serve))
-    serve;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Format.eprintf "benchmark JSON written to %s@." file
+    rows
 
 let () =
   print_experiments ();
-  let rows = run_benchmarks () in
-  Option.iter (fun file -> write_json file rows) json_out;
+  run_benchmarks ();
   print_cache_rates ()

@@ -58,14 +58,6 @@ let cache_dir_arg =
               changes; a warm cache replays byte-identical reports. Off unless given."
              Analysis.Cache.default_dir))
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:
-          "Ignore --cache and analyze cold — the differential baseline a warm cache run \
-           is compared against.")
-
 let cache_stats_arg =
   Arg.(
     value
@@ -75,9 +67,6 @@ let cache_stats_arg =
           "Write cache hit/miss/stale/corrupt/renamed/write counters as JSON to FILE. \
            Counters also go to stderr whenever a cache is active, keeping stdout \
            byte-identical to the cache-less run.")
-
-let cache_of ~cache_dir ~no_cache =
-  if no_cache then None else Option.map (fun dir -> Analysis.Cache.open_ ~dir) cache_dir
 
 let finish_cache ~stats_out cache =
   match cache with
@@ -386,9 +375,9 @@ let chaos_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Systematic mode: explore with N parallel domains (work-stealing over the \
-             candidate enumeration; the merged report is deterministic). 1 keeps the \
-             sequential explorer.")
+            "Systematic mode: explore with N parallel domains (each takes the next \
+             candidate from one shared counter; the merged report is deterministic). 1 \
+             keeps the sequential explorer.")
   in
   let dedup_arg =
     Arg.(
@@ -977,8 +966,8 @@ let lint_cmd =
              and compare byte-for-byte; exit 1 listing any disagreeing points.")
   in
   let run all protocol n f groups group_size max_faults json jobs param validate
-      cache_dir no_cache cache_stats =
-    let cache = cache_of ~cache_dir ~no_cache in
+      cache_dir cache_stats =
+    let cache = Option.map (fun dir -> Analysis.Cache.open_ ~dir) cache_dir in
     let emit_human (r : Registry.lint_result) = print_string r.Registry.human in
     let selected_for_param () =
       match all, protocol with
@@ -995,26 +984,11 @@ let lint_cmd =
       match selected_for_param () with
       | Error c -> c
       | Ok entries ->
-        let certs = Array.make (Array.length entries) None in
-        let next = Atomic.make 0 in
-        let worker () =
-          let rec loop () =
-            let i = Atomic.fetch_and_add next 1 in
-            if i < Array.length entries then begin
-              certs.(i) <- Some (entries.(i), Registry.certify ?cache ~max_faults entries.(i));
-              loop ()
-            end
-          in
-          loop ()
+        let certs =
+          Analysis.Pool.map ~jobs (Array.length entries) (fun i ->
+              entries.(i), Registry.certify ?cache ~max_faults entries.(i))
+          |> Array.to_list |> List.filter_map Fun.id
         in
-        let jobs = max 1 (min jobs (Domain.recommended_domain_count ())) in
-        if jobs <= 1 then worker ()
-        else begin
-          let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-          worker ();
-          List.iter Domain.join spawned
-        end;
-        let certs = List.filter_map Fun.id (Array.to_list certs) in
         List.iter
           (fun (_, cert) ->
             if json then print_endline (Analysis.Cert.json cert)
@@ -1051,31 +1025,11 @@ let lint_cmd =
       match all, protocol with
       | true, None ->
         let entries = Array.of_list Registry.all in
-        let results = Array.make (Array.length entries) None in
-        let next = Atomic.make 0 in
-        let worker () =
-          let rec loop () =
-            let i = Atomic.fetch_and_add next 1 in
-            if i < Array.length entries then begin
-              results.(i) <-
-                Some (Registry.lint ?cache ~max_faults entries.(i) Registry.default_params);
-              loop ()
-            end
-          in
-          loop ()
+        let results =
+          Analysis.Pool.map ~jobs (Array.length entries) (fun i ->
+              Registry.lint ?cache ~max_faults entries.(i) Registry.default_params)
+          |> Array.to_list |> List.filter_map Fun.id
         in
-        (* The Chaos.Driver worker pattern: an atomic next-index counter,
-           jobs-1 spawned domains plus this one, results landing in fixed
-           slots so emission order is the registry order regardless of which
-           domain ran what. *)
-        let jobs = max 1 (min jobs (Domain.recommended_domain_count ())) in
-        if jobs <= 1 then worker ()
-        else begin
-          let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-          worker ();
-          List.iter Domain.join spawned
-        end;
-        let results = List.filter_map Fun.id (Array.to_list results) in
         if json then
           (* Globally sorted (protocol, severity, code, subject): the
              diff-stable CI artifact ordering. *)
@@ -1124,7 +1078,7 @@ let lint_cmd =
     Term.(
       const run $ all_arg $ protocol_opt $ n_arg $ f_arg $ groups_arg $ group_size_arg
       $ max_faults_arg $ json_arg $ jobs_arg $ param_arg $ validate_arg $ cache_dir_arg
-      $ no_cache_arg $ cache_stats_arg)
+      $ cache_stats_arg)
   in
   Cmd.v
     (Cmd.info "lint"

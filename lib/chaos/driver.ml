@@ -81,7 +81,7 @@ let run ?monitors ?inputs ?(shrink = true) ?(domains = 1) ?(dedup = true)
     let r =
       (* One domain keeps the trusted sequential path, byte-identical to the
          pre-parallel engine; more domains (or either static oracle) go
-         through the deduplicated work-stealing explorer. The explorer gets
+         through the deduplicated shared-counter explorer. The explorer gets
          the caller's monitors verbatim — its static oracles key on the
          caller not overriding the (degrade-aware) defaults. *)
       if domains <= 1 && not static_prune && not por then

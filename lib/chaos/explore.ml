@@ -282,43 +282,6 @@ let merge ?(wall = false) ~space ~scheduled partials =
     violation = Option.map snd winner;
   }
 
-(* A mutex-guarded deque of contiguous rank ranges per worker. The owner
-   takes single ranks from the front; thieves split the back range in half
-   (or take it whole), classic work-stealing shape. Correctness does not
-   depend on who runs what: the merge is deterministic either way. *)
-type deque = { mutable ranges : (int * int) list; lock : Mutex.t }
-
-let deque ranges = { ranges; lock = Mutex.create () }
-
-let locked d f =
-  Mutex.lock d.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock d.lock) f
-
-let next_rank d =
-  locked d (fun () ->
-      match d.ranges with
-      | [] -> None
-      | (lo, hi) :: rest ->
-        d.ranges <- (if lo + 1 < hi then (lo + 1, hi) :: rest else rest);
-        Some lo)
-
-let steal d =
-  locked d (fun () ->
-      match List.rev d.ranges with
-      | [] -> None
-      | (lo, hi) :: rev_rest ->
-        if hi - lo >= 2 then begin
-          let mid = (lo + hi) / 2 in
-          d.ranges <- List.rev ((lo, mid) :: rev_rest);
-          Some (mid, hi)
-        end
-        else begin
-          d.ranges <- List.rev rev_rest;
-          Some (lo, hi)
-        end)
-
-let push_front d range = locked d (fun () -> d.ranges <- range :: d.ranges)
-
 let rec note_best best rank =
   let cur = Atomic.get best in
   if rank < cur && not (Atomic.compare_and_set best cur rank) then note_best best rank
@@ -650,14 +613,6 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
          in
          last + count + n_tasks + 2 <= cfg.max_steps)
   in
-  (* Clamp the spawned workers to the machine: oversubscribing domains past
-     the core count makes every minor-collection barrier pay cross-thread
-     scheduling latency (each stop-the-world must wait for descheduled
-     domains to reach a safepoint). The merge is partition-insensitive, so
-     the report is identical whatever the effective worker count. *)
-  let domains =
-    max 1 (min (min domains (Domain.recommended_domain_count ())) (max 1 scheduled))
-  in
   let dedup =
     (* Sound only under the deterministic round-robin interleaving. *)
     dedup && match interleave with Some (Runner.Seeded _) -> false | _ -> true
@@ -678,17 +633,26 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
   in
   let visited = Fingerprint.Visited.create () in
   let best = Atomic.make max_int in
-  let outstanding = Atomic.make scheduled in
-  let chunk = if scheduled = 0 then 1 else (scheduled + domains - 1) / domains in
-  let deques =
-    Array.init domains (fun w ->
-        let lo = w * chunk and hi = min scheduled ((w + 1) * chunk) in
-        deque (if lo < hi then [ (lo, hi) ] else []))
+  let clean rank =
+    {
+      rank;
+      budget_hit = false;
+      truncations = 0;
+      undelivered = 0;
+      undelivered_n = 0;
+      vacuous = 0;
+      deduped = false;
+      statically_pruned = false;
+      por_pruned = false;
+      parent = None;
+      found = None;
+    }
   in
-  let run_one rank records =
+  let run_one rank =
     (* Ranks at or past the best violating rank cannot affect the merged
        report; skipping them is the early-exit that makes the search stop. *)
-    if rank < Atomic.get best then begin
+    if rank >= Atomic.get best then None
+    else
       let schedule = candidates.(rank) in
       if prunable schedule then begin
         (* Proven clean lasso: all faults delivered, no violation — exactly
@@ -706,21 +670,13 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
                  | _ -> false)
                schedule.Schedule.faults)
         in
-        records :=
+        Some
           {
-            rank;
-            budget_hit = false;
-            truncations = 0;
-            undelivered = 0;
-            undelivered_n = 0;
+            (clean rank) with
             vacuous = (if crash_only then 0 else omissions);
-            deduped = false;
             statically_pruned = true;
-            por_pruned = false;
             parent = (if crash_only then None else Some 0);
-            found = None;
           }
-          :: !records
       end
       else
         match por_parent schedule with
@@ -731,190 +687,113 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
              ≤ the winner are clean (a violating schedule's canonical form
              wins first); the counters are copied from the parent chain once
              the workers join. *)
-          records :=
-            {
-              rank;
-              budget_hit = false;
-              truncations = 0;
-              undelivered = 0;
-              undelivered_n = 0;
-              vacuous = 0;
-              deduped = false;
-              statically_pruned = false;
-              por_pruned = true;
-              parent = Some parent;
-              found = None;
-            }
-            :: !records
-        | None -> begin
-      let keyed = ref None in
-      let on_active =
-        if dedup then
-          Some
-            (fun ~step ~cursor exec ->
-              let key = Fingerprint.key ~cursor exec in
-              match Fingerprint.Visited.find visited key with
-              | Some suffix when step + suffix <= cfg.max_steps -> `Prune
-              | _ ->
-                keyed := Some (key, step);
-                `Continue)
-        else None
-      in
-      let r =
-        Runner.run ~monitors:eff_monitors ?interleave ?inputs ~max_steps:cfg.max_steps
-          ?on_active ?prefix ~schedule sys
-      in
-      let base =
-        {
-          rank;
-          budget_hit = false;
-          truncations = List.length r.Runner.monitor_truncations;
-          undelivered = r.Runner.undelivered_crashes;
-          undelivered_n = r.Runner.undelivered_net;
-          vacuous = r.Runner.vacuous_net_faults;
-          deduped = false;
-          statically_pruned = false;
-          por_pruned = false;
-          parent = None;
-          found = None;
-        }
-      in
-      let record =
-        match r.Runner.stop with
-        | Runner.Violation { monitor; reason; proven } ->
-          note_best best rank;
-          {
-            base with
-            found =
+          Some { (clean rank) with por_pruned = true; parent = Some parent }
+        | None ->
+          let keyed = ref None in
+          let on_active =
+            if dedup then
               Some
-                { schedule; monitor; reason; proven; exec = r.Runner.exec;
-                  steps = r.Runner.steps;
-                  degraded_to = degraded_to_of cfg sys r.Runner.exec };
-          }
-        | Runner.Lasso _ ->
-          (* Only proven-quiescent clean runs seed the visited table: a
-             pruned twin would provably replay this suffix to the same
-             verdict (its step budget permitting — hence the suffix guard
-             above). Budget-bounded clean runs are never recorded, so a
-             cutoff at a different point can never be inherited. *)
-          (match !keyed with
-          | Some (key, act) ->
-            Fingerprint.Visited.add visited key ~suffix_steps:(r.Runner.steps - act)
-          | None -> ());
-          base
-        | Runner.Budget -> { base with budget_hit = true }
-        | Runner.Pruned -> { base with deduped = true }
-      in
-      records := record :: !records
-      end
-    end
+                (fun ~step ~cursor exec ->
+                  let key = Fingerprint.key ~cursor exec in
+                  match Fingerprint.Visited.find visited key with
+                  | Some suffix when step + suffix <= cfg.max_steps -> `Prune
+                  | _ ->
+                    keyed := Some (key, step);
+                    `Continue)
+            else None
+          in
+          let r =
+            Runner.run ~monitors:eff_monitors ?interleave ?inputs ~max_steps:cfg.max_steps
+              ?on_active ?prefix ~schedule sys
+          in
+          let base =
+            {
+              (clean rank) with
+              truncations = List.length r.Runner.monitor_truncations;
+              undelivered = r.Runner.undelivered_crashes;
+              undelivered_n = r.Runner.undelivered_net;
+              vacuous = r.Runner.vacuous_net_faults;
+            }
+          in
+          Some
+            (match r.Runner.stop with
+            | Runner.Violation { monitor; reason; proven } ->
+              note_best best rank;
+              {
+                base with
+                found =
+                  Some
+                    { schedule; monitor; reason; proven; exec = r.Runner.exec;
+                      steps = r.Runner.steps;
+                      degraded_to = degraded_to_of cfg sys r.Runner.exec };
+              }
+            | Runner.Lasso _ ->
+              (* Only proven-quiescent clean runs seed the visited table: a
+                 pruned twin would provably replay this suffix to the same
+                 verdict (its step budget permitting — hence the suffix guard
+                 above). Budget-bounded clean runs are never recorded, so a
+                 cutoff at a different point can never be inherited. *)
+              (match !keyed with
+              | Some (key, act) ->
+                Fingerprint.Visited.add visited key ~suffix_steps:(r.Runner.steps - act)
+              | None -> ());
+              base
+            | Runner.Budget -> { base with budget_hit = true }
+            | Runner.Pruned -> { base with deduped = true })
   in
+  (* Wall-clock budget expired: the pool hands out no further rank and the
+     records so far merge into a wall-truncated report. *)
   let wall_stopped = Atomic.make false in
-  let worker w () =
-    let records = ref [] in
-    let my = deques.(w) in
-    let poison e =
-      (* Let the sibling workers drain and exit instead of spinning on a
-         counter that will never reach zero; the exception resurfaces at
-         [Domain.join] (or directly, for worker 0). *)
-      Atomic.set outstanding 0;
-      raise e
-    in
-    let rec scavenge v =
-      if v >= domains then None
-      else
-        match steal deques.((w + 1 + v) mod domains) with
-        | Some range -> Some range
-        | None -> scavenge (v + 1)
-    in
-    let rec loop () =
-      if Atomic.get wall_stopped then ()
-      else if stop () then
-        (* Wall-clock budget expired: every worker drains on its next poll;
-           the partial records merge into a wall-truncated report. *)
-        Atomic.set wall_stopped true
-      else if Atomic.get outstanding > 0 then begin
-        (match next_rank my with
-        | Some rank ->
-          (try run_one rank records with e -> poison e);
-          Atomic.decr outstanding
-        | None -> (
-          match scavenge 0 with
-          | Some range -> push_front my range
-          | None -> Domain.cpu_relax ()));
-        loop ()
-      end
-    in
-    loop ();
-    !records
+  let stop () = stop () && (Atomic.set wall_stopped true; true) in
+  let records =
+    Array.map Option.join (Analysis.Pool.map ~stop ~jobs:domains scheduled run_one)
   in
-  let spawned = Array.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1) ())) in
-  let mine = worker 0 () in
-  let partials = mine :: Array.to_list (Array.map Domain.join spawned) in
-  let partials =
-    (* Resolve inherited counters now that every parent's record exists: a
-       POR-pruned record adopts the counters of its slid parent (following
-       chains of slides to the concrete — or statically pruned, or deduped —
-       source), and a net-bearing statically pruned record adopts the
-       fault-free rank-0 run's monitor truncations. A missing parent can
-       only mean the run was wall-truncated or the parent's rank sat past
-       the best violation — in either case the child record is not part of
-       the merged report's kept set, so the zero claims stand harmlessly. *)
-    if por_dep = None && quiescence = None then partials
-    else begin
-      let records = List.concat partials in
-      let by_rank = Hashtbl.create (max 16 (2 * List.length records)) in
-      List.iter (fun r -> Hashtbl.replace by_rank r.rank r) records;
-      let records =
-        List.map
-          (fun r ->
-            match r.statically_pruned, r.parent with
-            | true, Some p -> (
-              match Hashtbl.find_opt by_rank p with
-              | Some pr when (not pr.statically_pruned) && not pr.por_pruned ->
-                { r with truncations = pr.truncations }
-              | _ -> r)
-            | _ -> r)
-          records
-      in
-      List.iter (fun r -> Hashtbl.replace by_rank r.rank r) records;
-      let memo = Hashtbl.create 16 in
-      let rec source r =
-        if not r.por_pruned then r
-        else
-          match r.parent with
-          | None -> r
-          | Some p -> (
-            match Hashtbl.find_opt memo p with
-            | Some s -> s
-            | None ->
-              let s =
-                match Hashtbl.find_opt by_rank p with Some pr -> source pr | None -> r
-              in
-              Hashtbl.replace memo p s;
-              s)
-      in
-      [
-        List.map
-          (fun r ->
-            if not r.por_pruned then r
-            else
-              let s = source r in
-              if s == r then r
-              else
-                {
-                  r with
-                  budget_hit = s.budget_hit;
-                  truncations = s.truncations;
-                  undelivered = s.undelivered;
-                  undelivered_n = s.undelivered_n;
-                  vacuous = s.vacuous;
-                })
-          records;
-      ]
-    end
+  (* Resolve inherited counters now that every parent's record exists: a
+     net-bearing statically pruned record adopts the fault-free rank-0 run's
+     monitor truncations, and a POR-pruned record adopts the counters of its
+     slid parent (following chains of slides to the concrete — or statically
+     pruned, or deduped — source). A missing parent can only mean the run was
+     wall-truncated or the parent's rank sat past the best violation — in
+     either case the child record is not part of the merged report's kept
+     set, so the zero claims stand harmlessly. *)
+  Array.iteri
+    (fun i -> function
+      | Some ({ statically_pruned = true; parent = Some p; _ } as r) -> (
+        match records.(p) with
+        | Some pr when (not pr.statically_pruned) && not pr.por_pruned ->
+          records.(i) <- Some { r with truncations = pr.truncations }
+        | _ -> ())
+      | _ -> ())
+    records;
+  let memo = Hashtbl.create 16 in
+  let rec source r =
+    if not r.por_pruned then r
+    else
+      match r.parent with
+      | None -> r
+      | Some p -> (
+        match Hashtbl.find_opt memo p with
+        | Some s -> s
+        | None ->
+          let s = match records.(p) with Some pr -> source pr | None -> r in
+          Hashtbl.replace memo p s;
+          s)
   in
-  merge ~wall:(Atomic.get wall_stopped) ~space ~scheduled partials
+  let resolve r =
+    let s = source r in
+    if s == r then r
+    else
+      {
+        r with
+        budget_hit = s.budget_hit;
+        truncations = s.truncations;
+        undelivered = s.undelivered;
+        undelivered_n = s.undelivered_n;
+        vacuous = s.vacuous;
+      }
+  in
+  merge ~wall:(Atomic.get wall_stopped) ~space ~scheduled
+    [ List.filter_map (Option.map resolve) (Array.to_list records) ]
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>examined %d of %d candidate fault schedule(s)%s%s@," r.examined

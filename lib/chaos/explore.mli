@@ -113,9 +113,10 @@ val run :
 (** {1 Parallel exploration}
 
     {!run_par} distributes the same candidate enumeration over OCaml 5
-    domains: ranks (enumeration indices) are dealt into per-worker deques of
-    contiguous ranges, idle workers steal half a range from a victim's back,
-    and per-run results are merged deterministically — counters are summed
+    domains ({!Analysis.Pool}): each domain takes the lowest rank
+    (enumeration index) not yet handed out from one shared atomic counter,
+    each rank's record lands in a rank-indexed slot, and the records are
+    merged deterministically — counters are summed
     over ranks at most the winning rank, and the winning violation is the
     rank-least (then lexicographically least) one, so the merged report is
     identical run-to-run regardless of interleaving, and identical to {!run}
@@ -150,13 +151,13 @@ type run_record = {
           the slid-earlier equivalent for POR prunes, rank 0 (the
           fault-free run, for monitor truncations) for net-bearing static
           prunes, [None] otherwise. Resolved — transitively, for chains of
-          slides — after the workers join, before {!merge}. *)
+          slides — once every rank has run, before {!merge}. *)
   found : violation option;
 }
-(** One worker-side run result, the unit {!merge} operates on. *)
+(** One run's result, the unit {!merge} operates on. *)
 
 type partial = run_record list
-(** A worker's sub-report. *)
+(** A sub-report: any set of run records. *)
 
 val merge : ?wall:bool -> space:int -> scheduled:int -> partial list -> report
 (** Deterministic, partition- and order-insensitive merge: any shuffling of
@@ -177,7 +178,7 @@ val run_par :
   ?stop:(unit -> bool) ->
   Model.System.t ->
   report
-(** [domains] defaults to 1 (same worker machinery, no spawned domains);
+(** [domains] defaults to 1 (same pool, no spawned domains);
     [dedup] defaults to true.
 
     With [static_prune] (default false), the abstract-interpretation oracle

@@ -72,7 +72,7 @@ let duplicate ~step ~service ~endpoint = Duplicate { step; service; endpoint }
 let delay ~step ~service ~endpoint ~lag = Delay { step; service; endpoint; lag }
 let partition ~step ~blocks ~heal_at = Partition { step; blocks; heal_at }
 
-let fault_step = function
+let step = function
   | Crash { step; _ }
   | Silence { step; _ }
   | Drop { step; _ }
@@ -81,7 +81,7 @@ let fault_step = function
   | Partition { step; _ } -> step
 
 let make ?(default_pref = Model.System.Prefer_dummy) ?(overrides = []) faults =
-  let faults = List.stable_sort (fun a b -> Int.compare (fault_step a) (fault_step b)) faults in
+  let faults = List.stable_sort (fun a b -> Int.compare (step a) (step b)) faults in
   { faults; default_pref; overrides }
 
 let empty = make []

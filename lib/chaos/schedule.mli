@@ -68,6 +68,9 @@ val duplicate : step:int -> service:string -> endpoint:int -> fault
 val delay : step:int -> service:string -> endpoint:int -> lag:int -> fault
 val partition : step:int -> blocks:int list list -> heal_at:int -> fault
 
+val step : fault -> int
+(** The nominal step a fault is scheduled at (a partition's begin). *)
+
 val make :
   ?default_pref:Model.System.pref ->
   ?overrides:(Model.Task.t * Model.System.pref) list ->

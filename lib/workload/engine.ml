@@ -151,16 +151,8 @@ let separated_up_pair st =
 (* Fault timeline delivery (engine-level)                             *)
 (* ------------------------------------------------------------------ *)
 
-let fault_step = function
-  | Chaos.Schedule.Crash { step; _ }
-  | Chaos.Schedule.Silence { step; _ }
-  | Chaos.Schedule.Drop { step; _ }
-  | Chaos.Schedule.Duplicate { step; _ }
-  | Chaos.Schedule.Delay { step; _ }
-  | Chaos.Schedule.Partition { step; _ } -> step
-
 let deliver_faults st ~tick =
-  let due, later = List.partition (fun f -> fault_step f <= tick) st.timeline in
+  let due, later = List.partition (fun f -> Chaos.Schedule.step f <= tick) st.timeline in
   st.timeline <- later;
   List.iter
     (fun fault ->
@@ -595,7 +587,9 @@ let run cfg =
       log_len = 0;
       pending = [];
       timeline =
-        List.stable_sort (fun a b -> Int.compare (fault_step a) (fault_step b)) timeline;
+        List.stable_sort
+          (fun a b -> Int.compare (Chaos.Schedule.step a) (Chaos.Schedule.step b))
+          timeline;
       stash = [];
       active_partitions = [];
       damage = Chaos.Degrade.empty;

@@ -5,7 +5,7 @@
     committed by one {e consensus shot} — a monitored {!Chaos.Runner} run of
     the chosen registry protocol, with the shot system built once and its
     execution state recycled between shots — and every up replica applies the
-    batch in commit order ({!Protocols.Universal.apply_log}).
+    batch in commit order ({!Replica.apply_cmd}).
 
     It is a robustness testbed, not just a throughput rig: a fault timeline
     (explicit {!Chaos.Schedule} or drawn from the seed) injects mid-traffic —

@@ -195,16 +195,7 @@ let test_tob_witness_clamped () =
       Alcotest.(check int) "1-minimal" 1 (Chaos.Schedule.n_faults m);
       List.iter
         (fun fault ->
-          let step =
-            match fault with
-            | Chaos.Schedule.Crash { step; _ }
-            | Chaos.Schedule.Silence { step; _ }
-            | Chaos.Schedule.Drop { step; _ }
-            | Chaos.Schedule.Duplicate { step; _ }
-            | Chaos.Schedule.Delay { step; _ }
-            | Chaos.Schedule.Partition { step; _ } ->
-              step
-          in
+          let step = Chaos.Schedule.step fault in
           (* The violating shot runs for ~18 steps; a clamped witness cannot
              reference a step far beyond it (the pre-clamp failure mode was
              heal/step references at the shrinker's untouched midpoints). *)
