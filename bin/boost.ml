@@ -5,7 +5,7 @@ open Cmdliner
 
 module Registry = Protocols.Registry
 
-(* The one protocol table: bin, bench and the test-suites all enumerate
+(* The one protocol table: bin, perfbench and the test-suites all enumerate
    [Registry.all]. *)
 let protocol_conv =
   let parse s =
@@ -388,7 +388,8 @@ let chaos_cmd =
               info [ "dedup" ]
                 ~doc:
                   "Prune schedules whose configuration at activation was already explored \
-                   (default; parallel systematic mode only)." );
+                   (default). Systematic mode only, where it engages with -j above 1 or \
+                   with --por or --static-prune at any -j; otherwise it is ignored." );
             (false, info [ "no-dedup" ] ~doc:"Run every candidate schedule, even reconverging ones.");
           ])
   in
@@ -1176,7 +1177,7 @@ let experiments_cmd =
     if bad = [] then 0 else 1
   in
   Cmd.v
-    (Cmd.info "experiments" ~doc:"Run the full E1-E11 battery and print paper-vs-measured.")
+    (Cmd.info "experiments" ~doc:"Run the full E1-E13 battery and print paper-vs-measured.")
     Term.(const run $ const ())
 
 let main =

@@ -59,8 +59,8 @@ type report = {
       (** Delivered network faults that found an empty buffer and mutated
           nothing, summed over runs. *)
   dedup_hits : int;
-      (** Schedules pruned by configuration fingerprint (parallel systematic
-          mode only; 0 otherwise). *)
+      (** Schedules pruned by configuration fingerprint (systematic mode
+          through {!Explore.run_par} with [dedup]; 0 otherwise). *)
   static_prunes : int;
       (** Schedules skipped by the abstract-interpretation infeasibility
           oracle (systematic mode with [static_prune]; 0 otherwise). *)

@@ -794,44 +794,3 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
   in
   merge ~wall:(Atomic.get wall_stopped) ~space ~scheduled
     [ List.filter_map (Option.map resolve) (Array.to_list records) ]
-
-let pp_report ppf r =
-  Format.fprintf ppf "@[<v>examined %d of %d candidate fault schedule(s)%s%s@," r.examined
-    r.space
-    (if r.truncated then " — TRUNCATED: enumeration budget hit before exhausting the space"
-     else "")
-    (if r.wall_truncated then " — truncated: wall-clock" else "");
-  if r.dedup_hits > 0 then
-    Format.fprintf ppf
-      "%d schedule(s) pruned by configuration fingerprint (verdict inherited from an \
-       equivalent run)@,"
-      r.dedup_hits;
-  if r.static_prunes > 0 then
-    Format.fprintf ppf
-      "%d schedule(s) statically pruned (proven clean by abstract interpretation, never \
-       executed)@,"
-      r.static_prunes;
-  if r.por_prunes > 0 then
-    Format.fprintf ppf
-      "%d schedule(s) pruned by partial-order reduction (fault placement equivalent to a \
-       lower-ranked schedule, verdict inherited)@,"
-      r.por_prunes;
-  if r.step_budget_hits > 0 then
-    Format.fprintf ppf
-      "%d run(s) hit the step budget undecided — liveness verdicts there are bounded evidence only@,"
-      r.step_budget_hits;
-  if r.monitor_truncations > 0 then
-    Format.fprintf ppf "%d monitor check(s) truncated (see per-run reports)@,"
-      r.monitor_truncations;
-  if r.undelivered_crashes > 0 then
-    Format.fprintf ppf "%d scheduled crash(es) fell beyond the executed step range@,"
-      r.undelivered_crashes;
-  if r.undelivered_net > 0 then
-    Format.fprintf ppf "%d scheduled network fault(s) fell beyond the executed step range@,"
-      r.undelivered_net;
-  if r.vacuous_net_faults > 0 then
-    Format.fprintf ppf "%d delivered network fault(s) were vacuous (empty buffer)@,"
-      r.vacuous_net_faults;
-  (match r.violation with
-  | Some v -> Format.fprintf ppf "%a@]" pp_violation v
-  | None -> Format.fprintf ppf "no violation found@]")

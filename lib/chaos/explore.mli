@@ -216,5 +216,3 @@ val run_par :
     budget — with a per-schedule delivery-tail check for net-bearing
     candidates. Composes freely with [dedup], [static_prune], [degrade]
     and [domains]. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -1,8 +1,8 @@
 (** Reference valence computation, by per-vertex forward reachability.
 
     Quadratic in the graph size where {!Valence.analyze} is linear — kept as
-    the independent oracle for the SCC-condensation implementation and as the
-    ablation baseline in the benchmark harness. *)
+    the independent oracle for the SCC-condensation implementation
+    ({!Lemma_check.scc_vs_naive}). *)
 
 val verdicts : Graph.t -> Valence.verdict array
 (** [verdicts g] computes, for every vertex, the set of decision values

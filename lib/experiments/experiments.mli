@@ -1,9 +1,8 @@
-(** The reproduction experiments E1–E11 (see DESIGN.md §4).
+(** The reproduction experiments E1–E13 (see DESIGN.md §4).
 
     Each experiment returns rows pairing the paper's claim ("expected") with
     what the engine measured; [ok] is the per-row verdict. The [all] battery
-    is what `boost experiments` prints and EXPERIMENTS.md records; the bench
-    harness wraps the same functions for timing. *)
+    is what `boost experiments` prints and EXPERIMENTS.md records. *)
 
 type row = {
   experiment : string;  (** Experiment id, e.g. ["E5"]. *)

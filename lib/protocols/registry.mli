@@ -1,7 +1,7 @@
 (** The shared protocol table.
 
     One name → constructor registry serving the CLI ([boost lint], [boost
-    chaos], ...), the benchmarks and the test-suites, so they all enumerate
+    chaos], ...), the benchmark and the test-suites, so they all enumerate
     the same protocols under the same names instead of each re-listing the
     lookup. Construction is parameterized by the common knob set
     ({!params}); protocols ignore the knobs they do not have. *)

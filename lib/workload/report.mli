@@ -71,7 +71,7 @@ val latency_summary : t -> int * int * int * int
 (** (p50, p95, p99, max) in ticks, nearest-rank. *)
 
 val percentile : int array -> float -> int
-(** Nearest-rank percentile over a sorted array (exposed for the bench
-    kernels). *)
+(** Nearest-rank percentile over a sorted array (exposed for
+    [perfbench/]). *)
 
 val render : t -> string

@@ -118,11 +118,11 @@ let test_truncation_reported () =
   let config =
     { (Chaos.Explore.default_config sys) with Chaos.Explore.max_faults = 1; budget = 1 }
   in
-  let r = Chaos.Explore.run ~config sys in
-  Alcotest.(check int) "examined capped" 1 r.Chaos.Explore.examined;
-  Alcotest.(check bool) "space larger" true (r.Chaos.Explore.space > 1);
-  Alcotest.(check bool) "truncated flag" true r.Chaos.Explore.truncated;
-  let rendered = Format.asprintf "%a" Chaos.Explore.pp_report r in
+  let r = Chaos.Driver.run ~shrink:false (Chaos.Driver.Systematic config) sys in
+  Alcotest.(check int) "examined capped" 1 r.Chaos.Driver.examined;
+  Alcotest.(check bool) "space larger" true (r.Chaos.Driver.space > 1);
+  Alcotest.(check bool) "truncated flag" true r.Chaos.Driver.truncated;
+  let rendered = Format.asprintf "%a" Chaos.Driver.pp_report r in
   Alcotest.(check bool) "report says TRUNCATED" true (contains rendered "TRUNCATED")
 
 (* Step-budget truncation: when --max-steps cuts a run short, the outcome is
@@ -143,9 +143,12 @@ let test_step_budget_reported () =
     let rendered = Format.asprintf "%a" Chaos.Explore.pp_violation v in
     Alcotest.(check bool) "labelled bounded" true (contains rendered "bounded evidence")
   | None -> Alcotest.fail "expected a bounded-evidence violation");
-  let r = Chaos.Explore.run ~monitors:(Chaos.Monitor.safety ()) ~config sys in
-  Alcotest.(check int) "budget hit counted" 1 r.Chaos.Explore.step_budget_hits;
-  let rendered = Format.asprintf "%a" Chaos.Explore.pp_report r in
+  let r =
+    Chaos.Driver.run ~monitors:(Chaos.Monitor.safety ()) ~shrink:false
+      (Chaos.Driver.Systematic config) sys
+  in
+  Alcotest.(check int) "budget hit counted" 1 r.Chaos.Driver.step_budget_hits;
+  let rendered = Format.asprintf "%a" Chaos.Driver.pp_report r in
   Alcotest.(check bool) "report mentions step budget" true (contains rendered "step budget")
 
 (* --- Seeded chaos mode: detection + replay + shrink --- *)
