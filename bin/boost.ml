@@ -64,7 +64,7 @@ let cache_stats_arg =
     & opt (some string) None
     & info [ "cache-stats" ] ~docv:"FILE"
         ~doc:
-          "Write cache hit/miss/stale/corrupt/renamed/write counters as JSON to FILE. \
+          "Write cache hit/miss/stale/corrupt/write counters as JSON to FILE. \
            Counters also go to stderr whenever a cache is active, keeping stdout \
            byte-identical to the cache-less run.")
 
@@ -1046,7 +1046,7 @@ let lint_cmd =
         (match cache with
         | Some c ->
           (* Record the fleet manifest: `boost cache status` diffs the live
-             registry against it to report what changed, was renamed, or
+             registry against it to report what is unchanged and what
              needs re-analysis. *)
           Analysis.Cache.write_manifest c
             (List.filter_map
@@ -1144,8 +1144,8 @@ let cache_cmd =
       (Cmd.info "status"
          ~doc:
            "Entry counts per kind, quarantined files, and a change-impact diff of the \
-            live protocol fleet against the recorded manifest (unchanged / renamed / \
-            changed / added).")
+            live protocol fleet against the recorded manifest (unchanged / changed / \
+            added / removed).")
       Term.(const run $ dir_arg)
   in
   let clear_cmd =

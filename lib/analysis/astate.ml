@@ -104,17 +104,6 @@ let equal a b =
     && Array.for_all2 dopt_equal a.inputs b.inputs
   | _ -> false
 
-(* Re-index the service slots of a stored state onto a permuted service
-   table: [perm.(j)] names the old position of the service now at [j]. The
-   abstract state is positional (no identifiers inside), so this is the
-   entire rename mapping the cache needs for fixpoint solutions. *)
-let permute_svcs perm = function
-  | Bot -> Bot
-  | St a ->
-    if Array.length perm <> Array.length a.svcs then
-      invalid_arg "Astate.permute_svcs: arity mismatch";
-    St { a with svcs = Array.map (fun j -> a.svcs.(j)) perm }
-
 let pp_dopt ppf d =
   Format.fprintf ppf "%s%a" (if d.may_none then "·|" else "") Vset.pp d.values
 

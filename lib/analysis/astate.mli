@@ -52,9 +52,3 @@ val dopt_none : dopt
 val dopt_of : Ioa.Value.t option -> dopt
 val dopt_leq : dopt -> dopt -> bool
 val dopt_join : dopt -> dopt -> dopt
-
-val permute_svcs : int array -> t -> t
-(** Re-index the service slots onto a permuted service table: [perm.(j)]
-    names the old position of the service now at [j]. The abstract state is
-    positional (no identifiers inside), so this is the entire rename
-    mapping the cache needs for stored fixpoint solutions. *)

@@ -18,7 +18,7 @@
 
 module Iset = Spec.Iset
 
-let envelope_version = 1
+let envelope_version = 2
 let default_dir = "_boost_cache"
 
 type stats = {
@@ -26,7 +26,6 @@ type stats = {
   mutable misses : int;
   mutable stale : int;
   mutable corrupt : int;
-  mutable renamed : int;  (* hits that were mapped through a service rename *)
   mutable writes : int;
 }
 
@@ -44,7 +43,7 @@ let open_ ~dir =
   {
     dir;
     lock = Mutex.create ();
-    stats = { hits = 0; misses = 0; stale = 0; corrupt = 0; renamed = 0; writes = 0 };
+    stats = { hits = 0; misses = 0; stale = 0; corrupt = 0; writes = 0 };
   }
 
 let locked t f =
@@ -206,8 +205,8 @@ let corrupt_count ~dir =
 let pp_stats ppf t =
   let s = t.stats in
   Format.fprintf ppf
-    "cache: %d hit(s) (%d via rename), %d miss(es), %d stale, %d corrupt, %d write(s)"
-    s.hits s.renamed s.misses s.stale s.corrupt s.writes
+    "cache: %d hit(s), %d miss(es), %d stale, %d corrupt, %d write(s)"
+    s.hits s.misses s.stale s.corrupt s.writes
 
 let stats_json t =
   let s = t.stats in
@@ -224,38 +223,15 @@ let stats_json t =
     \  \"misses\": %d,\n\
     \  \"stale\": %d,\n\
     \  \"corrupt\": %d,\n\
-    \  \"renamed\": %d,\n\
     \  \"writes\": %d,\n\
     \  \"kinds\": {\n%s\n  }\n\
      }\n"
-    s.hits s.misses s.stale s.corrupt s.renamed s.writes kinds
+    s.hits s.misses s.stale s.corrupt s.writes kinds
 
 (* --- the fleet manifest --- *)
 
-let encode_structhash b (h : Structhash.t) =
-  Codec.int_out b h.Structhash.full;
-  Codec.int_out b h.Structhash.sem;
-  Codec.array_out b (fun b p -> Codec.int_out b p) h.Structhash.procs;
-  Codec.int_out b (List.length h.Structhash.services);
-  List.iter
-    (fun (id, bh) ->
-      Codec.string_out b id;
-      Codec.int_out b bh)
-    h.Structhash.services
-
-let decode_structhash c =
-  let full = Codec.int_in c in
-  let sem = Codec.int_in c in
-  let procs = Codec.array_in c Codec.int_in in
-  let ns = Codec.int_in c in
-  if ns < 0 then raise (Codec.Corrupt "negative service count");
-  let services =
-    List.init ns (fun _ ->
-        let id = Codec.string_in c in
-        let bh = Codec.int_in c in
-        id, bh)
-  in
-  { Structhash.full; sem; procs; services }
+let encode_structhash b (h : Structhash.t) = Codec.int_out b h.Structhash.full
+let decode_structhash c = { Structhash.full = Codec.int_in c }
 
 let manifest_key = "fleet"
 
@@ -291,7 +267,6 @@ let read_manifest t =
 
 type change =
   | Unchanged
-  | Renamed of (string * string) list  (* (old id, new id); [] = pure permutation *)
   | Changed
   | Added
 
@@ -300,19 +275,7 @@ type change_report = { changes : (string * change) list; removed : string list }
 let change_of (old : Structhash.t option) (h : Structhash.t) =
   match old with
   | None -> Added
-  | Some o ->
-    if o.Structhash.full = h.Structhash.full then Unchanged
-    else if o.Structhash.sem = h.Structhash.sem then
-      match
-        Structhash.permutation ~old_services:o.Structhash.services
-          ~services:h.Structhash.services
-      with
-      | Some perm ->
-        Renamed
-          (Structhash.rename_pairs ~old_services:o.Structhash.services
-             ~services:h.Structhash.services perm)
-      | None -> Changed
-    else Changed
+  | Some o -> if o.Structhash.full = h.Structhash.full then Unchanged else Changed
 
 let diff old_manifest manifest =
   let changes =
@@ -330,35 +293,21 @@ let diff old_manifest manifest =
 
 let pp_change ppf = function
   | Unchanged -> Format.pp_print_string ppf "unchanged"
-  | Renamed [] -> Format.pp_print_string ppf "services permuted (solutions reusable)"
-  | Renamed pairs ->
-    Format.fprintf ppf "renamed (%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         (fun ppf (o, n) -> Format.fprintf ppf "%s -> %s" o n))
-      pairs
   | Changed -> Format.pp_print_string ppf "changed (re-analysis required)"
   | Added -> Format.pp_print_string ppf "new (no cache entry)"
 
 (* --- typed accessors: Reach solutions --- *)
 
-(* Reach solutions are keyed by the *semantic* hash: the abstract state is
-   positional (no service identifiers inside), so a solution computed for a
-   renamed or permuted-service twin is mapped onto the current system by a
-   pure array permutation and re-harvested — the Goblint-style reuse path.
-   The stored service hash list (donor order) supplies the permutation. *)
+(* Reach solutions are keyed by the [full] hash. The payload repeats it, so
+   a payload stored for another system decodes as corrupt rather than
+   replaying that system's fixpoint. *)
 
 let reach_key (h : Structhash.t) ~max_faults ~inputs_key =
-  Printf.sprintf "%s-mf%d-%s" (Structhash.sem_key h) max_faults inputs_key
+  Printf.sprintf "%s-mf%d-%s" (Structhash.key h) max_faults inputs_key
 
 let reach_store t (h : Structhash.t) ~max_faults ~inputs_key r =
   let b = Buffer.create 1024 in
-  Codec.int_out b (List.length h.Structhash.services);
-  List.iter
-    (fun (id, bh) ->
-      Codec.string_out b id;
-      Codec.int_out b bh)
-    h.Structhash.services;
+  encode_structhash b h;
   Reach.encode_solution b (Reach.solution_of r);
   store t ~kind:"reach" ~key:(reach_key h ~max_faults ~inputs_key) (Buffer.contents b)
 
@@ -367,31 +316,11 @@ let reach_find t (h : Structhash.t) ~max_faults ~inputs_key sys =
     ~key:(reach_key h ~max_faults ~inputs_key)
     ~decode:(fun payload ->
       let c = Codec.cursor payload in
-      let ns = Codec.int_in c in
-      if ns < 0 then raise (Codec.Corrupt "negative service count");
-      let stored =
-        List.init ns (fun _ ->
-            let id = Codec.string_in c in
-            let bh = Codec.int_in c in
-            id, bh)
-      in
+      if decode_structhash c <> h then raise (Codec.Corrupt "structural hash mismatch");
       let sol = Reach.decode_solution c in
       if sol.Reach.s_max_faults <> max_faults then
         raise (Codec.Corrupt "max_faults mismatch");
-      match Structhash.permutation ~old_services:stored ~services:h.Structhash.services with
-      | None -> raise (Codec.Corrupt "service hash mismatch")
-      | Some perm ->
-        let sol =
-          if Structhash.is_identity perm then sol
-          else begin
-            bump t (fun s -> s.renamed <- s.renamed + 1);
-            {
-              sol with
-              Reach.s_astates = Array.map (Astate.permute_svcs perm) sol.Reach.s_astates;
-            }
-          end
-        in
-        Some (Reach.of_solution sys sol))
+      Some (Reach.of_solution sys sol))
 
 (* --- typed accessors: rendered lint reports --- *)
 

@@ -24,7 +24,6 @@ type stats = {
   mutable misses : int;
   mutable stale : int;
   mutable corrupt : int;
-  mutable renamed : int;  (** Hits mapped through a service rename/permutation. *)
   mutable writes : int;
 }
 
@@ -78,11 +77,9 @@ val read_manifest : t -> (string * Structhash.t) list option
 
 type change =
   | Unchanged  (** Same [full] hash — every cache entry replays. *)
-  | Renamed of (string * string) list
-      (** Same [sem] hash, matched service tables; the (old, new) id pairs
-          that changed, [[]] for a pure permutation. Semantic entries
-          (fixpoint solutions) replay through the permutation map. *)
-  | Changed  (** Re-analysis required. *)
+  | Changed
+      (** Different [full] hash — re-analysis required. A consistent
+          service rename or a permuted service array lands here too. *)
   | Added  (** No recorded entry. *)
 
 type change_report = { changes : (string * change) list; removed : string list }
@@ -96,17 +93,15 @@ val pp_change : Format.formatter -> change -> unit
 (** {1 Typed accessors} *)
 
 val reach_key : Structhash.t -> max_faults:int -> inputs_key:string -> string
-(** Reach solutions are keyed by the {e semantic} hash: the abstract state
-    is positional, so a solution computed for a renamed or permuted-service
-    twin maps onto the current system by a pure array permutation
-    ({!Astate.permute_svcs}) and a re-harvest. *)
+(** Reach solutions are keyed by the [full] hash, like every other entry. *)
 
 val reach_store :
   t -> Structhash.t -> max_faults:int -> inputs_key:string -> Reach.t -> unit
 
 val reach_find :
   t -> Structhash.t -> max_faults:int -> inputs_key:string -> Model.System.t -> Reach.t option
-(** A hit that crossed a rename/permutation also bumps [renamed]. *)
+(** A payload whose stored [full] hash or [max_faults] disagrees with the
+    request is corrupt: quarantined and counted, never replayed. *)
 
 type lint_entry = { human : string; findings : Lint.finding list; code : int }
 (** A rendered lint report: the exact human text (margin 78), the findings

@@ -177,8 +177,8 @@ let frozen t =
    Only the fixpoint *solution* is persisted — the per-unknown failed sets
    and abstract states plus the solver statistics. Decides, incidents and
    firing facts are rebuilt by the (cheap) [harvest] sweep against the
-   current system, so a solution restored through a service permutation
-   renders facts in the new system's own task order and positions. *)
+   current system, so a restored solution renders facts exactly as a cold
+   run would. *)
 
 type solution = {
   s_max_faults : int;

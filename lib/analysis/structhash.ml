@@ -1,19 +1,10 @@
 (* Canonical structural hash of a system's analysis-relevant identity.
 
-   Two hashes are computed per system:
-
-   - [full] — the presentation hash: everything the analyses and their
-     rendered reports can depend on, including service identifiers, the
-     service-array order and the declared type names. Cache entries that
-     store rendered output are keyed by it.
-
-   - [sem] — the semantic hash: service identifiers and the service-array
-     order are canonicalized away (a service is named by its own behavioral
-     hash; processes refer to services by canonical index, not id string).
-     Renaming a service — consistently in its definition and in every
-     process that invokes it — or permuting the service array leaves [sem]
-     unchanged while [full] moves, which is exactly the Goblint-style
-     rename/permutation detection the cache's diff pass keys on.
+   One hash, [full], is computed per system: everything the analyses and
+   their rendered reports can depend on, including service identifiers, the
+   service-array order and the declared type names. Every cache entry is
+   keyed by it, so a renamed or service-permuted system is simply a
+   different system and is re-analyzed.
 
    Behavior is hashed by *probing*, not by inspecting closures: a bounded
    breadth-first walk over each process's reachable local states (driven by
@@ -43,12 +34,7 @@ module Process = Model.Process
    probing scheme below. *)
 let analyzer_version = 1
 
-type t = {
-  full : int;
-  sem : int;
-  procs : int array;  (* per-process semantic behavioral hash, pid order *)
-  services : (string * int) list;  (* (id, semantic behavioral hash), array order *)
-}
+type t = { full : int }
 
 (* --- FNV-1a folding, the same shape as {!Ioa.Value.hash} --- *)
 
@@ -216,10 +202,7 @@ let service_behavior (c : Service.t) =
    initialize processes with by default. *)
 let probe_inputs = [ Value.int 0; Value.int 1 ]
 
-(* [service_token id] names the invoked/responding service inside the fold:
-   the raw id for the presentation hash, the service's canonical index
-   (position in the behavioral-hash order) for the semantic hash. *)
-let process_behavior ~service_token ~responses (p : Process.t) =
+let process_behavior ~responses (p : Process.t) =
   let h = mix_str seed "proc" in
   let h = mix_value h p.Process.start in
   let trans h s =
@@ -228,7 +211,7 @@ let process_behavior ~service_token ~responses (p : Process.t) =
     (match p.Process.step s with
     | exception _ -> h := mix_str !h "raise"
     | Process.Invoke { service; op; next } ->
-      h := mix_value (mix_value (service_token (mix_str !h "I") service) op) next;
+      h := mix_value (mix_value (mix_str (mix_str !h "I") service) op) next;
       succs := next :: !succs
     | Process.Decide { value; next } ->
       h := mix_value (mix_value (mix_str !h "D") value) next;
@@ -250,9 +233,9 @@ let process_behavior ~service_token ~responses (p : Process.t) =
           (fun r ->
             match p.Process.on_response s ~service:id r with
             | exception _ ->
-              h := mix_str (mix_value (service_token (mix_str !h "r") id) r) "raise"
+              h := mix_str (mix_value (mix_str (mix_str !h "r") id) r) "raise"
             | s' ->
-              h := mix_value (mix_value (service_token (mix_str !h "r") id) r) s';
+              h := mix_value (mix_value (mix_str (mix_str !h "r") id) r) s';
               succs := s' :: !succs)
           resps)
       responses;
@@ -266,28 +249,6 @@ let salt h =
   mix_int (mix_str h "boost-structhash") analyzer_version
 
 let system (sys : System.t) =
-  let services =
-    Array.to_list sys.System.services
-    |> List.map (fun (c : Service.t) -> c.Service.id, service_behavior c)
-  in
-  (* Canonical service naming: rank in the (behavioral hash, multiplicity)
-     order. Ties are behaviorally identical services; their relative order is
-     fixed by id, which can at worst cost a spurious miss after renaming two
-     interchangeable services past each other. *)
-  let canon =
-    List.stable_sort
-      (fun (id1, h1) (id2, h2) ->
-        let c = Int.compare h1 h2 in
-        if c <> 0 then c else String.compare id1 id2)
-      services
-    |> List.mapi (fun rank (id, _) -> id, rank)
-  in
-  let canon_token h id =
-    match List.assoc_opt id canon with
-    | Some rank -> mix_int h rank
-    | None -> mix_str (mix_str h "unknown-service") id
-  in
-  let raw_token h id = mix_str h id in
   let responses_of pid =
     Array.to_list sys.System.services
     |> List.filter_map (fun (c : Service.t) ->
@@ -295,95 +256,22 @@ let system (sys : System.t) =
              Some (c.Service.id, c.Service.gtype.Spec.General_type.responses)
            else None)
   in
-  (* The semantic probe must walk the connected services in canonical rank
-     order, not array order — otherwise permuting the service array would
-     reorder the [on_response] fold and move [sem]. *)
-  let canon_responses_of pid =
-    responses_of pid
-    |> List.stable_sort (fun (id1, _) (id2, _) ->
-           Int.compare (List.assoc id1 canon) (List.assoc id2 canon))
-  in
-  let procs_sem =
+  let procs =
     Array.map
-      (fun (p : Process.t) ->
-        process_behavior ~service_token:canon_token
-          ~responses:(canon_responses_of p.Process.pid) p)
+      (fun (p : Process.t) -> process_behavior ~responses:(responses_of p.Process.pid) p)
       sys.System.processes
   in
-  let procs_full =
-    Array.map
-      (fun (p : Process.t) ->
-        process_behavior ~service_token:raw_token ~responses:(responses_of p.Process.pid) p)
-      sys.System.processes
-  in
-  let n = Array.length sys.System.processes in
+  let h = salt seed in
+  let h = mix_int h (Array.length sys.System.processes) in
+  let h = Array.fold_left mix_hash (mix h 61) procs in
   let full =
-    let h = salt seed in
-    let h = mix_int h n in
-    let h = Array.fold_left mix_hash (mix h 61) procs_full in
-    List.fold_left
-      (fun h ((id, bh), (c : Service.t)) ->
-        mix_hash (mix_str (mix_str h id) c.Service.gtype.Spec.General_type.name) bh)
-      (mix h 67)
-      (List.combine services (Array.to_list sys.System.services))
+    Array.fold_left
+      (fun h (c : Service.t) ->
+        mix_hash
+          (mix_str (mix_str h c.Service.id) c.Service.gtype.Spec.General_type.name)
+          (service_behavior c))
+      (mix h 67) sys.System.services
   in
-  let sem =
-    let h = salt seed in
-    let h = mix_int h n in
-    let h = Array.fold_left mix_hash (mix h 71) procs_sem in
-    List.fold_left mix_hash (mix h 73)
-      (List.sort Int.compare (List.map snd services))
-  in
-  { full; sem; procs = procs_sem; services }
+  { full }
 
 let key t = hex t.full
-let sem_key t = hex t.sem
-let equal_sem a b = a.sem = b.sem
-
-(* --- rename / permutation detection ---
-
-   Two service tables with the same behavioral-hash multiset are matched by
-   pairing equal hashes; [permutation] returns [perm] with [perm.(j)] = the
-   old index whose service the new index [j] corresponds to. Hash ties pair
-   in order — tied services are behaviorally identical, so any pairing is
-   semantically interchangeable. *)
-
-let permutation ~old_services ~services =
-  let n = List.length services in
-  if List.length old_services <> n then None
-  else begin
-    let old = Array.of_list old_services in
-    let used = Array.make n false in
-    let perm = Array.make n (-1) in
-    let ok = ref true in
-    List.iteri
-      (fun j (_, h) ->
-        if !ok then begin
-          let rec find i =
-            if i >= n then None
-            else if (not used.(i)) && snd old.(i) = h then Some i
-            else find (i + 1)
-          in
-          match find 0 with
-          | Some i ->
-            used.(i) <- true;
-            perm.(j) <- i
-          | None -> ok := false
-        end)
-      services;
-    if !ok then Some perm else None
-  end
-
-let is_identity perm =
-  let ok = ref true in
-  Array.iteri (fun i p -> if i <> p then ok := false) perm;
-  !ok
-
-(* The id mapping a permutation induces: (old id, new id) pairs where the
-   name actually changed — the substance of a rename report. *)
-let rename_pairs ~old_services ~services perm =
-  let old = Array.of_list old_services in
-  let names = Array.of_list (List.map fst services) in
-  Array.to_list perm
-  |> List.mapi (fun j i -> fst old.(i), names.(j))
-  |> List.filter (fun (o, n) -> not (String.equal o n))

@@ -1,19 +1,11 @@
 (** Canonical structural hash of a system's analysis-relevant identity.
 
-    Two hashes are computed per system:
-
-    - [full] — the presentation hash: everything the analyses and their
-      rendered reports can depend on, including service identifiers, the
-      service-array order and the declared type names. Cache entries that
-      store rendered output are keyed by it.
-
-    - [sem] — the semantic hash: service identifiers and the service-array
-      order are canonicalized away (a service is named by its own behavioral
-      hash; processes refer to services by canonical index, not id string).
-      Renaming a service — consistently in its definition and in every
-      process that invokes it — or permuting the service array leaves [sem]
-      unchanged while [full] moves, which is exactly the Goblint-style
-      rename/permutation detection the cache's diff pass keys on.
+    One hash, [full], is computed per system: everything the analyses and
+    their rendered reports can depend on, including service identifiers, the
+    service-array order and the declared type names. Every cache entry is
+    keyed by it, so a renamed or service-permuted system is simply a
+    different system and is re-analyzed — rendered reports print service
+    ids, so a renamed twin must never replay its donor's output.
 
     Behavior is hashed by {e probing}, not by inspecting closures: a bounded
     breadth-first walk over each process's reachable local states (driven by
@@ -34,23 +26,12 @@ val analyzer_version : int
     transfer functions, the abstract domains or the probing scheme change,
     and every existing cache entry self-invalidates. *)
 
-type t = {
-  full : int;  (** Presentation hash. *)
-  sem : int;  (** Semantic hash (service ids and order canonicalized). *)
-  procs : int array;  (** Per-process semantic behavioral hash, pid order. *)
-  services : (string * int) list;
-      (** (id, semantic behavioral hash), service-array order. *)
-}
+type t = { full : int }
 
 val system : Model.System.t -> t
 
 val key : t -> string
 (** The [full] hash as a 16-hex-digit string — filename-safe. *)
-
-val sem_key : t -> string
-(** The [sem] hash, same rendering. *)
-
-val equal_sem : t -> t -> bool
 
 val hex : int -> string
 
@@ -67,21 +48,3 @@ val family : string list -> string
     keys (plus any parameter tokens) into one filename-safe digest — the
     key a cross-parameter cache entry (resilience certificate) lives
     under. Any behavioral change at any grid point moves it. *)
-
-val permutation :
-  old_services:(string * int) list -> services:(string * int) list -> int array option
-(** Match two service tables by behavioral hash: [Some perm] with
-    [perm.(j)] = the old index whose service the new index [j] corresponds
-    to, [None] when the hash multisets differ. Hash ties pair in order —
-    tied services are behaviorally identical, so any pairing is
-    semantically interchangeable. *)
-
-val is_identity : int array -> bool
-
-val rename_pairs :
-  old_services:(string * int) list ->
-  services:(string * int) list ->
-  int array ->
-  (string * string) list
-(** The id mapping a permutation induces: (old id, new id) pairs where the
-    name actually changed — the substance of a rename report. *)

@@ -506,40 +506,3 @@ let blocked c sys s task =
   match task with
   | Model.Task.Svc_output { svc; endpoint } -> blocked_endpoint c sys s ~svc ~endpoint
   | _ -> false
-
-let decision_of_delivery ~silent = function
-  | Deliver_fail pid ->
-    silent := 0;
-    Model.Scheduler.Do_fail pid
-  | Deliver_net { service; endpoint; kind } ->
-    silent := 0;
-    Model.Scheduler.Do_net { service; endpoint; kind }
-  | Deliver_partition { blocks; _ } ->
-    silent := 0;
-    Model.Scheduler.Do_partition blocks
-  | Deliver_heal blocks ->
-    silent := 0;
-    Model.Scheduler.Do_heal blocks
-
-let to_scheduler ?(quiesce = true) t (sys : Model.System.t) =
-  let c = compile t sys in
-  let tasks = sys.Model.System.tasks in
-  let cursor = ref 0 in
-  let silent = ref 0 in
-  let prev : Model.State.t option ref = ref None in
-  let sched ~step s =
-    (match !prev with
-    | Some s' when Model.State.equal s s' -> incr silent
-    | _ -> silent := 0);
-    prev := Some s;
-    if quiesce && exhausted c && !silent > Array.length tasks then Model.Scheduler.Stop
-    else
-      match due c ~step with
-      | Some d -> decision_of_delivery ~silent d
-      | None ->
-        let task = tasks.(!cursor mod Array.length tasks) in
-        incr cursor;
-        if blocked c sys s task then Model.Scheduler.Skip
-        else Model.Scheduler.Do_task task
-  in
-  sched, c.policy

@@ -4,9 +4,9 @@
     to deliver and when, which services to (attempt to) silence from which
     step, which network faults to inject into which response buffers, which
     partitions to impose and when to heal them, and how to resolve the
-    real-vs-dummy nondeterminism per task. It compiles down to a
-    {!Model.Scheduler.t} plus a {!Model.System.policy}, so any existing
-    protocol runs under it unchanged.
+    real-vs-dummy nondeterminism per task. It compiles to a
+    {!Model.System.policy} plus a delivery clock that {!Runner} consults
+    turn by turn, so any existing protocol runs under it unchanged.
 
     Silencing is an {e attempt}: preferring a service's dummy actions only
     has effect once the model enables them, i.e. once more than [f]
@@ -167,9 +167,6 @@ val due : compiled -> step:int -> delivery option
     advances the schedule's clock, activating silences and partition
     intervals. Call once per turn. *)
 
-val exhausted : compiled -> bool
-(** All deliveries (crashes, net faults, heals) delivered. *)
-
 val undelivered : compiled -> int
 (** Crashes never delivered (scheduled beyond the step budget). *)
 
@@ -190,14 +187,5 @@ val blocked : compiled -> Model.System.t -> Model.State.t -> Model.Task.t -> boo
 (** Whether an active partition holds this task back: a service-output turn
     whose endpoint's head response crossed a block boundary (for network
     packets, judged by the sender in the payload; for other services, only
-    when the endpoint is isolated from every other endpoint). The driver
-    turns blocked tasks into {!Model.Scheduler.Skip}. *)
-
-val to_scheduler :
-  ?quiesce:bool -> t -> Model.System.t -> Model.Scheduler.t * Model.System.policy
-(** The advertised compile-down: a round-robin scheduler that injects the
-    schedule's deliveries (one per turn when due), skips partition-blocked
-    output turns, plus the matching policy, for use with
-    {!Model.Scheduler.run}. With [quiesce] (default true) it stops after a
-    full silent cycle once the schedule is exhausted, like
-    {!Model.Scheduler.round_robin}. *)
+    when the endpoint is isolated from every other endpoint). {!Runner}
+    gives a blocked task's turn away. *)

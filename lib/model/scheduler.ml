@@ -1,10 +1,6 @@
 type decision =
   | Do_task of Task.t
   | Do_fail of int
-  | Do_net of { service : string; endpoint : int; kind : Event.net_kind }
-  | Do_partition of int list list
-  | Do_heal of int list list
-  | Skip
   | Stop
 type t = step:int -> State.t -> decision
 type outcome = Stopped | Scheduler_stop | Quiescent | Budget
@@ -22,14 +18,7 @@ let run ?policy ?(stop_when = fun _ -> false) ~max_steps sys exec sched =
     else
       match sched ~step (Exec.last_state exec) with
       | Stop -> exec, Scheduler_stop
-      | Skip -> go exec (step + 1)
       | Do_fail i -> go (Exec.append_fail sys exec i) (step + 1)
-      | Do_net { service; endpoint; kind } -> (
-        match Exec.append_net sys exec ~service ~endpoint ~kind with
-        | None -> go exec (step + 1)
-        | Some exec -> go exec (step + 1))
-      | Do_partition blocks -> go (Exec.append_partition exec blocks) (step + 1)
-      | Do_heal blocks -> go (Exec.append_heal exec blocks) (step + 1)
       | Do_task task -> (
         match Exec.append_task ?policy sys exec task with
         | None -> go exec (step + 1)

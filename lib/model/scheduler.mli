@@ -8,15 +8,6 @@
 type decision =
   | Do_task of Task.t
   | Do_fail of int
-  | Do_net of { service : string; endpoint : int; kind : Event.net_kind }
-      (** Deliver a network-adversary buffer mutation (vacuous faults are
-          skipped by {!run} without recording a step). *)
-  | Do_partition of int list list  (** Record a partition taking effect. *)
-  | Do_heal of int list list  (** Record the matching heal. *)
-  | Skip
-      (** Consume a step of budget without scheduling anything — used by the
-          chaos scheduler to hold back tasks blocked by an active
-          partition. *)
   | Stop
 
 type t = step:int -> State.t -> decision

@@ -239,7 +239,7 @@ let lint ?cache ?(max_faults = 1) (e : entry) (p : params) =
     let key = lint_key h ~max_faults (claim_digest e p) in
     match Analysis.Cache.lint_find c ~key with
     | Some entry ->
-      (* Exact presentation hit: replay the rendered report verbatim. The
+      (* Lint hit: replay the rendered report verbatim. The
          reach entry is deliberately not consulted, so a fully warm run
          shows one hit per protocol and zero misses. *)
       {
@@ -250,10 +250,9 @@ let lint ?cache ?(max_faults = 1) (e : entry) (p : params) =
         hash = Some h;
       }
     | None ->
-      (* Semantic fallback: a fixpoint solution stored under the semantic
-         key — possibly by a renamed or service-permuted twin — skips the
-         solve; only the cheap harvest, footprint refinement and rendering
-         re-run. *)
+      (* Reach fallback: a fixpoint solution stored under the same
+         structural hash skips the solve; only the cheap harvest, footprint
+         refinement and rendering re-run. *)
       let reach =
         Analysis.Cache.reach_find c h ~max_faults ~inputs_key:inputs_key_default sys
       in

@@ -65,10 +65,10 @@ type lint_result = {
 
 val lint : ?cache:Analysis.Cache.t -> ?max_faults:int -> entry -> params -> lint_result
 (** The single lint pipeline behind every CLI path (sequential, parallel,
-    cached, cold): build, hash (when caching), consult the cache — an exact
-    presentation hit replays the rendered report; a semantic hit restores
-    the fixpoint solution (mapping service renames/permutations) and only
-    re-harvests and re-renders — else analyze cold and store both entries.
+    cached, cold): build, hash (when caching), consult the cache — a lint
+    hit replays the rendered report; a reach hit restores the fixpoint
+    solution and only re-harvests and re-renders — else analyze cold and
+    store both entries.
     [max_faults] defaults to 1. Thread-safe under a shared [cache]. *)
 
 val manifest : unit -> (string * Analysis.Structhash.t) list

@@ -1,12 +1,13 @@
 (* The incremental-analysis layer: structural hashing, the persistent
-   cache, rename/permutation reuse, and the warm-vs-cold differentials.
+   cache, envelope hygiene, and the warm-vs-cold differentials.
 
    The perturbation properties are the soundness side of the cache: any
    edit an analysis could observe — a task's step function, the service
-   wiring, the resilience parameter — must move the structural hash, or a
-   warm cache would replay a stale verdict. The differentials are the
-   completeness side: a warm cache (including one warmed by a renamed or
-   service-permuted twin) must reproduce the cold analysis byte for byte. *)
+   wiring, the resilience parameter, a consistent service rename — must
+   move the structural hash, or a warm cache would replay a stale verdict
+   (rendered reports print service ids, so even a renamed twin must not
+   replay its donor's report). The differentials are the completeness side:
+   a warm cache must reproduce the cold analysis byte for byte. *)
 
 open Helpers
 module Value = Ioa.Value
@@ -69,8 +70,8 @@ let perturb_resilience j (sys : Model.System.t) =
 
 (* A consistently renamed and service-permuted twin: every service id gets a
    fresh name, the service array is reversed, and every process reference
-   (invocations out, responses in) is translated. Semantically identical;
-   presentationally distinct. *)
+   (invocations out, responses in) is translated. Behaviorally identical up
+   to naming, but its reports print the new ids — a different system. *)
 let renamed_twin (sys : Model.System.t) =
   let rename id = "tw-" ^ id in
   let unrename id =
@@ -108,9 +109,7 @@ let test_deterministic () =
       let h1 = Structhash.system (e.Registry.build Registry.default_params) in
       let h2 = Structhash.system (e.Registry.build Registry.default_params) in
       Alcotest.(check string) (e.Registry.name ^ " full") (Structhash.key h1)
-        (Structhash.key h2);
-      Alcotest.(check string) (e.Registry.name ^ " sem") (Structhash.sem_key h1)
-        (Structhash.sem_key h2))
+        (Structhash.key h2))
     Registry.all
 
 let test_fleet_distinct () =
@@ -139,78 +138,32 @@ let prop_perturbation_moves_hash =
         | _ -> perturb_resilience (idx mod Array.length sys.Model.System.services) sys
       in
       let h = Structhash.system sys and h' = Structhash.system edited in
-      h.Structhash.full <> h'.Structhash.full && not (Structhash.equal_sem h h'))
+      h.Structhash.full <> h'.Structhash.full)
 
 let test_f_parameter_moves_hash () =
   let h0 = Structhash.system (Protocols.Direct.system ~n:2 ~f:0) in
   let h1 = Structhash.system (Protocols.Direct.system ~n:2 ~f:1) in
-  Alcotest.(check bool) "f moves full" true (h0.Structhash.full <> h1.Structhash.full);
-  Alcotest.(check bool) "f moves sem" true (not (Structhash.equal_sem h0 h1))
-
-(* --- rename and permutation detection --- *)
-
-let test_rename_detection () =
-  let sys = Protocols.Register_vote.system () in
-  let twin = renamed_twin sys in
-  let h = Structhash.system sys and h' = Structhash.system twin in
-  Alcotest.(check bool) "sem preserved" true (Structhash.equal_sem h h');
-  Alcotest.(check bool) "full moved" true (h.Structhash.full <> h'.Structhash.full);
-  match Cache.diff [ "p", h ] [ "p", h' ] with
-  | { Cache.changes = [ (_, Cache.Renamed pairs) ]; removed = [] } ->
-    (* Behaviorally tied services pair in table order, so the exact old/new
-       matching is free — but every pair must cross the "tw-" rename. *)
-    Alcotest.(check bool) "rename pairs reported" true (pairs <> []);
-    Alcotest.(check (list string)) "renames cover the id map"
-      (List.sort String.compare (List.map (fun (o, _) -> "tw-" ^ o) pairs))
-      (List.sort String.compare (List.map snd pairs))
-  | _ -> Alcotest.fail "expected a Renamed classification"
+  Alcotest.(check bool) "f moves full" true (h0.Structhash.full <> h1.Structhash.full)
 
 let test_diff_classes () =
-  let h = Structhash.system (Protocols.Register_vote.system ()) in
-  let h' = Structhash.system (perturb_step 0 (Protocols.Register_vote.system ())) in
+  let sys = Protocols.Register_vote.system () in
+  let h = Structhash.system sys in
+  let h' = Structhash.system (perturb_step 0 sys) in
+  let twin = Structhash.system (renamed_twin sys) in
   let r =
     Cache.diff
-      [ "same", h; "edited", h; "gone", h ]
-      [ "same", h; "edited", h'; "fresh", h ]
+      [ "same", h; "edited", h; "renamed", h; "gone", h ]
+      [ "same", h; "edited", h'; "renamed", twin; "fresh", h ]
   in
   Alcotest.(check bool) "same unchanged" true
     (List.assoc "same" r.Cache.changes = Cache.Unchanged);
   Alcotest.(check bool) "edited changed" true
     (List.assoc "edited" r.Cache.changes = Cache.Changed);
+  Alcotest.(check bool) "renamed twin changed" true
+    (List.assoc "renamed" r.Cache.changes = Cache.Changed);
   Alcotest.(check bool) "fresh added" true
     (List.assoc "fresh" r.Cache.changes = Cache.Added);
   Alcotest.(check (list string)) "removed" [ "gone" ] r.Cache.removed
-
-(* The golden reuse path: a fixpoint solution stored by the original
-   protocol is found by its renamed/permuted twin, mapped through the
-   permutation, and yields the same findings the twin computes cold. The
-   split protocol's per-process services are behaviorally distinct, so the
-   reversed service table forces a genuine (non-identity) permutation. *)
-let test_rename_cache_reuse () =
-  let dir = scratch () in
-  let c = Cache.open_ ~dir in
-  let sys = Protocols.Split.system ~n:2 in
-  let h = Structhash.system sys in
-  let cold = Analysis.Lint.analyze ~max_faults:1 sys in
-  Cache.reach_store c h ~max_faults:1 ~inputs_key:"idef" cold.Analysis.Lint.reach;
-  let twin = renamed_twin sys in
-  let h' = Structhash.system twin in
-  (match Cache.reach_find c h' ~max_faults:1 ~inputs_key:"idef" twin with
-  | None -> Alcotest.fail "twin missed the stored solution"
-  | Some reach ->
-    let warm = Analysis.Lint.analyze ~max_faults:1 ~reach twin in
-    let cold' = Analysis.Lint.analyze ~max_faults:1 twin in
-    Alcotest.(check int) "same exit code"
-      (Analysis.Lint.exit_code cold')
-      (Analysis.Lint.exit_code warm);
-    Alcotest.(check (list string)) "same findings"
-      (List.map (Format.asprintf "%a" Analysis.Lint.pp_finding)
-         cold'.Analysis.Lint.findings)
-      (List.map (Format.asprintf "%a" Analysis.Lint.pp_finding)
-         warm.Analysis.Lint.findings));
-  Alcotest.(check int) "hit counted" 1 c.Cache.stats.Cache.hits;
-  Alcotest.(check int) "rename counted" 1 c.Cache.stats.Cache.renamed;
-  ignore (Cache.clear ~dir)
 
 (* --- envelope hygiene: stale and corrupt entries --- *)
 
@@ -254,7 +207,8 @@ let test_stale_envelope_dropped () =
     (* A well-formed header from a future analyzer: stale, not corrupt. *)
     Out_channel.with_open_bin path (fun oc ->
         Out_channel.output_string oc
-          (Printf.sprintf "boost-cache 1 %d lint k" (Structhash.analyzer_version + 1));
+          (Printf.sprintf "boost-cache %d %d lint k" Cache.envelope_version
+             (Structhash.analyzer_version + 1));
         Out_channel.output_string oc
           (String.sub content nl (String.length content - nl)))
   | _ -> Alcotest.fail "expected exactly one entry");
@@ -263,6 +217,52 @@ let test_stale_envelope_dropped () =
   Alcotest.(check int) "stale counted" 1 c.Cache.stats.Cache.stale;
   Alcotest.(check int) "not corrupt" 0 c.Cache.stats.Cache.corrupt;
   Alcotest.(check (list string)) "silently removed" [] (entry_files dir);
+  Alcotest.(check int) "nothing quarantined" 0 (Cache.corrupt_count ~dir);
+  ignore (Cache.clear ~dir)
+
+(* A reach payload carries the hash it was stored under: another system's
+   solution placed under this system's key, envelope header and all, is
+   corrupt — quarantined, never replayed. *)
+let test_reach_payload_bound_to_hash () =
+  let dir = scratch () in
+  let c = Cache.open_ ~dir in
+  let donor = Protocols.Direct.system ~n:2 ~f:0 in
+  let sys = Protocols.Direct.system ~n:2 ~f:1 in
+  let h = Structhash.system donor and h' = Structhash.system sys in
+  let cold = Analysis.Lint.analyze ~max_faults:1 donor in
+  Cache.reach_store c h ~max_faults:1 ~inputs_key:"idef" cold.Analysis.Lint.reach;
+  let key = Cache.reach_key h ~max_faults:1 ~inputs_key:"idef" in
+  let key' = Cache.reach_key h' ~max_faults:1 ~inputs_key:"idef" in
+  let path k = Filename.concat dir ("reach-" ^ k ^ ".entry") in
+  let content = In_channel.with_open_bin (path key) In_channel.input_all in
+  let nl = String.index content '\n' in
+  Out_channel.with_open_bin (path key') (fun oc ->
+      Printf.fprintf oc "boost-cache %d %d reach %s" Cache.envelope_version
+        Structhash.analyzer_version key';
+      Out_channel.output_string oc (String.sub content nl (String.length content - nl)));
+  Alcotest.(check bool) "foreign payload is a miss" true
+    (Cache.reach_find c h' ~max_faults:1 ~inputs_key:"idef" sys = None);
+  Alcotest.(check int) "counted corrupt" 1 c.Cache.stats.Cache.corrupt;
+  Alcotest.(check int) "quarantined" 1 (Cache.corrupt_count ~dir);
+  Alcotest.(check bool) "donor still hits" true
+    (Cache.reach_find c h ~max_faults:1 ~inputs_key:"idef" donor <> None);
+  ignore (Cache.clear ~dir)
+
+(* A fleet manifest from the previous envelope version, in the old layout
+   (full hash, semantic hash, per-process hashes, service table): stale, so
+   it is removed rather than quarantined and the manifest reads as absent. *)
+let test_stale_manifest_dropped () =
+  let dir = scratch () in
+  let c = Cache.open_ ~dir in
+  let path = Filename.concat dir "manifest-fleet.entry" in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "boost-cache %d %d manifest fleet\n"
+        (Cache.envelope_version - 1) Structhash.analyzer_version;
+      Out_channel.output_string oc
+        "1;\"direct\"7;8;2;9;9;1;\"cons\"10;");
+  Alcotest.(check bool) "stale manifest reads as absent" true
+    (Cache.read_manifest c = None);
+  Alcotest.(check bool) "file removed" false (Sys.file_exists path);
   Alcotest.(check int) "nothing quarantined" 0 (Cache.corrupt_count ~dir);
   ignore (Cache.clear ~dir)
 
@@ -294,7 +294,7 @@ let test_lint_warm_equals_cold () =
         b.Registry.human;
       Alcotest.(check int) ("code " ^ a.Registry.name) a.Registry.code b.Registry.code)
     cold warm;
-  (* The semantic fallback: with every rendered report gone, each protocol
+  (* The reach fallback: with every rendered report gone, each protocol
      misses its lint entry, replays its stored reach solution (the solve is
      skipped; harvest, footprints and rendering re-run) and rewrites the
      lint entry — byte-identical to the cold run. *)
@@ -351,12 +351,12 @@ let suite =
       Alcotest.test_case "fleet hashes are distinct" `Quick test_fleet_distinct;
       prop_perturbation_moves_hash;
       Alcotest.test_case "f parameter moves the hash" `Quick test_f_parameter_moves_hash;
-      Alcotest.test_case "rename/permutation detected" `Quick test_rename_detection;
       Alcotest.test_case "diff classifies changes" `Quick test_diff_classes;
-      Alcotest.test_case "renamed twin reuses the solution" `Quick
-        test_rename_cache_reuse;
       Alcotest.test_case "corrupt entries quarantined" `Quick test_corrupt_quarantine;
       Alcotest.test_case "stale envelopes dropped" `Quick test_stale_envelope_dropped;
+      Alcotest.test_case "stale manifest dropped" `Quick test_stale_manifest_dropped;
+      Alcotest.test_case "reach payload bound to its hash" `Quick
+        test_reach_payload_bound_to_hash;
       Alcotest.test_case "lint: warm = cold, hit per protocol" `Quick
         test_lint_warm_equals_cold;
       Alcotest.test_case "one edit re-analyzes one protocol" `Quick

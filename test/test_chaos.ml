@@ -39,19 +39,6 @@ let test_validate () =
   Alcotest.(check bool) "bad svc" true (Result.is_error (Chaos.Schedule.validate sys bad_svc));
   Alcotest.(check bool) "ok" true (Result.is_ok (Chaos.Schedule.validate sys ok))
 
-(* The compile-down contract: a schedule drives any protocol through the
-   plain Model.Scheduler.run, unchanged. *)
-let test_to_scheduler () =
-  let sys = Protocols.Direct.system ~n:2 ~f:1 in
-  let schedule = Chaos.Schedule.make [ Chaos.Schedule.crash ~step:0 ~pid:0 ] in
-  let sched, policy = Chaos.Schedule.to_scheduler schedule sys in
-  let exec0 = initialized sys (int_inputs [ 1; 0 ]) in
-  let exec, _ = Model.Scheduler.run ~policy ~max_steps:10_000 sys exec0 sched in
-  let s = Model.Exec.last_state exec in
-  Alcotest.(check bool) "pid 0 failed" true (Spec.Iset.mem 0 s.Model.State.failed);
-  (* f = 1 tolerates the crash: the survivor still decides. *)
-  Alcotest.(check bool) "termination" true (Model.Properties.termination s)
-
 (* --- Acceptance: register-wait falls to systematic exploration --- *)
 
 let test_register_wait_violation () =
@@ -206,7 +193,6 @@ let suite =
       Alcotest.test_case "schedule parse round-trips" `Quick test_parse_round_trip;
       Alcotest.test_case "schedule parse rejects junk" `Quick test_parse_errors;
       Alcotest.test_case "schedule validation" `Quick test_validate;
-      Alcotest.test_case "compiles to Scheduler.t + policy" `Quick test_to_scheduler;
       Alcotest.test_case "register-wait: found, shrunk, proven" `Quick
         test_register_wait_violation;
       Alcotest.test_case "direct f=1: full sweep passes" `Quick test_direct_resilient_passes;
