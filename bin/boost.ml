@@ -30,7 +30,22 @@ let protocol_doc = "Protocol: " ^ String.concat " | " Registry.names ^ "."
 let protocol_arg =
   Arg.(required & pos 0 (some protocol_conv) None & info [] ~docv:"PROTOCOL" ~doc:protocol_doc)
 
-let n_arg = Arg.(value & opt int 2 & info [ "n"; "procs" ] ~docv:"N" ~doc:"Number of processes.")
+(* Counts, sizes and rates: an out-of-range value is a usage error, like an
+   unparsable one, rather than an exception or a vacuous run. *)
+let int_at_least lo expected =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok k when k < lo ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1 "a positive integer"
+let nonneg_int = int_at_least 0 "a non-negative integer"
+
+let n_arg =
+  Arg.(value & opt pos_int 2 & info [ "n"; "procs" ] ~docv:"N" ~doc:"Number of processes.")
 let f_arg = Arg.(value & opt int 0 & info [ "f"; "resilience" ] ~docv:"F" ~doc:"Service resilience level.")
 
 let failures_arg =
@@ -93,12 +108,18 @@ let max_states_arg =
 let refute_cmd =
   let run protocol n f failures groups group_size max_states =
     let sys = build_system protocol ~n ~f ~groups ~group_size in
-    let report = Engine.Counterexample.refute ~max_states ~failures sys in
-    Format.printf "%a@." Engine.Counterexample.pp_report report;
-    match report.Engine.Counterexample.outcome with
-    | Engine.Counterexample.Refuted _ -> 0
-    | Engine.Counterexample.Not_refuted _ -> 1
-    | Engine.Counterexample.Out_of_budget _ -> 2
+    let np = Model.System.n_processes sys in
+    if not (0 < failures && failures < np) then begin
+      Format.eprintf "--failures %d: need 0 < K < %d (the process count)@." failures np;
+      3
+    end
+    else
+      let report = Engine.Counterexample.refute ~max_states ~failures sys in
+      Format.printf "%a@." Engine.Counterexample.pp_report report;
+      match report.Engine.Counterexample.outcome with
+      | Engine.Counterexample.Refuted _ -> 0
+      | Engine.Counterexample.Not_refuted _ -> 1
+      | Engine.Counterexample.Out_of_budget _ -> 2
   in
   let term =
     Term.(
@@ -109,7 +130,7 @@ let refute_cmd =
     (Cmd.info "refute"
        ~doc:
          "Attack a protocol's claim of K-resilient consensus with the Theorem 2/9/10 engine; \
-          exits 0 when refuted, 1 when the claim stands.")
+          exits 0 when refuted, 1 when the claim stands, 3 unless 0 < K < N.")
     term
 
 (* --- staircase --- *)
@@ -319,7 +340,7 @@ let chaos_cmd =
   in
   let max_faults_arg =
     Arg.(
-      value & opt int 1
+      value & opt nonneg_int 1
       & info [ "max-faults" ] ~docv:"K"
           ~doc:"Fault budget when $(b,--faults) names kinds: up to K faults in total.")
   in
@@ -353,7 +374,8 @@ let chaos_cmd =
              crash placements are enumerated systematically.")
   in
   let runs_arg =
-    Arg.(value & opt int 64 & info [ "runs" ] ~docv:"R" ~doc:"Seeded mode: seeds to try.")
+    Arg.(
+      value & opt pos_int 64 & info [ "runs" ] ~docv:"R" ~doc:"Seeded mode: seeds to try.")
   in
   let max_steps_arg =
     Arg.(value & opt int 20_000 & info [ "max-steps" ] ~docv:"M" ~doc:"Per-run step bound.")
@@ -373,7 +395,9 @@ let chaos_cmd =
              space is reported, never silent.")
   in
   let stride_arg =
-    Arg.(value & opt int 1 & info [ "stride" ] ~docv:"S" ~doc:"Crash-step grid granularity.")
+    Arg.(
+      value & opt pos_int 1
+      & info [ "stride" ] ~docv:"S" ~doc:"Crash-step grid granularity.")
   in
   let jobs_arg =
     Arg.(
@@ -675,24 +699,27 @@ let serve_cmd =
           ~doc:"Replicated object: counter (increment/read) or register (read/write).")
   in
   let clients_arg =
-    Arg.(value & opt int 12 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client sessions.")
+    Arg.(
+      value & opt pos_int 12
+      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client sessions.")
   in
   let ops_arg =
-    Arg.(value & opt int 200 & info [ "ops" ] ~docv:"M" ~doc:"Total operations to serve.")
+    Arg.(
+      value & opt pos_int 200 & info [ "ops" ] ~docv:"M" ~doc:"Total operations to serve.")
   in
   let rate_arg =
     Arg.(
-      value & opt int 8
+      value & opt pos_int 8
       & info [ "rate" ] ~docv:"R" ~doc:"Open-loop arrivals admitted per tick (at most).")
   in
   let batch_arg =
     Arg.(
-      value & opt int 16
+      value & opt pos_int 16
       & info [ "batch" ] ~docv:"B" ~doc:"Maximum commands committed per consensus shot.")
   in
   let pipeline_arg =
     Arg.(
-      value & opt int 2
+      value & opt pos_int 2
       & info [ "pipeline" ] ~docv:"P" ~doc:"Consensus shots launched per tick (at most).")
   in
   let retry_timeout_arg =
@@ -728,7 +755,7 @@ let serve_cmd =
   in
   let max_faults_arg =
     Arg.(
-      value & opt int 2
+      value & opt nonneg_int 2
       & info [ "max-faults" ] ~docv:"K" ~doc:"Fault budget for the seeded timeline.")
   in
   let schedule_arg =
@@ -758,7 +785,7 @@ let serve_cmd =
   in
   let shot_max_steps_arg =
     Arg.(
-      value & opt int 4_000
+      value & opt pos_int 4_000
       & info [ "shot-max-steps" ] ~docv:"M" ~doc:"Per-consensus-shot step bound.")
   in
   let lin_max_nodes_arg =
@@ -927,7 +954,7 @@ let lint_cmd =
   in
   let max_faults_arg =
     Arg.(
-      value & opt int 1
+      value & opt nonneg_int 1
       & info [ "max-faults" ] ~docv:"K"
           ~doc:"Analyze contexts with up to K crashed processes.")
   in

@@ -52,10 +52,10 @@ let witness_of_violation (v : Explore.violation) =
          })
   | _ -> None (* k-agreement, linearizability: no engine constructor; reported directly. *)
 
-let violated ?monitors ?max_steps ?interleave ?inputs ~shrink sys original =
+let violated ?monitors ?max_steps ?interleave ~shrink sys original =
   let minimized, shrink_stats =
     if shrink then
-      let m, st = Shrink.shrink ?monitors ?max_steps ?interleave ?inputs sys original in
+      let m, st = Shrink.shrink ?monitors ?max_steps ?interleave sys original in
       Some m, Some st
     else None, None
   in
@@ -74,7 +74,7 @@ let violated ?monitors ?max_steps ?interleave ?inputs ~shrink sys original =
   Violated
     { original; minimized; shrink_stats; witness = witness_of_violation final; replayed = None }
 
-let run ?monitors ?inputs ?(shrink = true) ?(domains = 1) ?(dedup = true)
+let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true)
     ?(static_prune = false) ?(por = false) ?(stop = fun () -> false) mode sys =
   match mode with
   | Systematic config ->
@@ -85,10 +85,9 @@ let run ?monitors ?inputs ?(shrink = true) ?(domains = 1) ?(dedup = true)
          the caller's monitors verbatim — its static oracles key on the
          caller not overriding the (degrade-aware) defaults. *)
       if domains <= 1 && not static_prune && not por then
-        Explore.run ?monitors ?inputs ~config ~stop sys
+        Explore.run ?monitors ~config ~stop sys
       else
-        Explore.run_par ?monitors ?inputs ~config ~domains ~dedup ~static_prune ~por ~stop
-          sys
+        Explore.run_par ?monitors ~config ~domains ~dedup ~static_prune ~por ~stop sys
     in
     let shrink_monitors =
       (* The shrinker must judge candidates by the same family the explorer
@@ -102,8 +101,7 @@ let run ?monitors ?inputs ?(shrink = true) ?(domains = 1) ?(dedup = true)
       match r.Explore.violation with
       | None -> Passed
       | Some v ->
-        violated ?monitors:shrink_monitors ~max_steps:config.Explore.max_steps ?inputs
-          ~shrink sys v
+        violated ?monitors:shrink_monitors ~max_steps:config.Explore.max_steps ~shrink sys v
     in
     {
       mode;
@@ -141,8 +139,7 @@ let run ?monitors ?inputs ?(shrink = true) ?(domains = 1) ?(dedup = true)
       else begin
         let seed_i = seed + i in
         let r, schedule =
-          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ?monitors ~max_steps ?inputs
-            sys
+          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ?monitors ~max_steps sys
         in
         monitor_truncations := !monitor_truncations + List.length r.Runner.monitor_truncations;
         undelivered := !undelivered + r.Runner.undelivered_crashes;
@@ -173,17 +170,14 @@ let run ?monitors ?inputs ?(shrink = true) ?(domains = 1) ?(dedup = true)
         let interleave = Rand.interleave ~seed:seed_i in
         (* Exact replay: the same seed must reproduce the identical trace. *)
         let replay, _ =
-          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ?monitors ~max_steps ?inputs
-            sys
+          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ?monitors ~max_steps sys
         in
         let replayed =
           List.equal Model.Event.equal
             (Model.Exec.events v.Explore.exec)
             (Model.Exec.events replay.Runner.exec)
         in
-        (match
-           violated ?monitors ~max_steps ~interleave ?inputs ~shrink sys v
-         with
+        (match violated ?monitors ~max_steps ~interleave ~shrink sys v with
         | Violated x -> Violated { x with replayed = Some replayed }
         | o -> o)
     in

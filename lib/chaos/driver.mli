@@ -74,7 +74,6 @@ val witness_of_violation : Explore.violation -> Engine.Counterexample.witness op
 
 val run :
   ?monitors:Monitor.t list ->
-  ?inputs:Ioa.Value.t list ->
   ?shrink:bool ->
   ?domains:int ->
   ?dedup:bool ->

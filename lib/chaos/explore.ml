@@ -155,8 +155,7 @@ let effective_monitors cfg = function
   | Some ms -> ms
   | None -> Monitor.defaults ~degrade:cfg.degrade ()
 
-let run ?monitors ?interleave ?inputs ?config ?(stop = fun () -> false)
-    (sys : Model.System.t) =
+let run ?monitors ?config ?(stop = fun () -> false) (sys : Model.System.t) =
   let cfg = match config with Some c -> c | None -> default_config sys in
   let monitors = effective_monitors cfg monitors in
   let space = space_size sys cfg in
@@ -174,9 +173,7 @@ let run ?monitors ?interleave ?inputs ?config ?(stop = fun () -> false)
       else if !examined >= cfg.budget then None, true, false
       else begin
         incr examined;
-        let r =
-          Runner.run ~monitors ?interleave ?inputs ~max_steps:cfg.max_steps ~schedule sys
-        in
+        let r = Runner.run ~monitors ~max_steps:cfg.max_steps ~schedule sys in
         monitor_truncations := !monitor_truncations + List.length r.Runner.monitor_truncations;
         undelivered_crashes := !undelivered_crashes + r.Runner.undelivered_crashes;
         undelivered_net := !undelivered_net + r.Runner.undelivered_net;
@@ -499,7 +496,7 @@ let por_slide ~ctx ~stride ~degrade ~max_steps ~n_tasks (s : Schedule.t) =
     end
   end
 
-let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
+let run_par ?monitors ?config ?(domains = 1) ?(dedup = true)
     ?(static_prune = false) ?(por = false)
     ?(stop = fun () -> false) (sys : Model.System.t) =
   let cfg = match config with Some c -> c | None -> default_config sys in
@@ -523,11 +520,10 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
        delivery tail against the budget below. *)
     if
       static_prune && monitors = None
-      && (match interleave with Some (Runner.Seeded _) -> false | _ -> true)
       && cfg.horizon + cfg.max_faults + n_tasks + 2 <= cfg.max_steps
     then
       Analysis.Prune.clean_from ~max_faults:cfg.max_faults
-        ~inputs:(match inputs with Some l -> l | None -> Runner.default_inputs sys)
+        ~inputs:(Runner.default_inputs sys)
         ~horizon:cfg.horizon sys
     else None
   in
@@ -540,7 +536,6 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
        delivery tails per schedule). *)
     if
       por && monitors = None
-      && (match interleave with Some (Runner.Seeded _) -> false | _ -> true)
       && cfg.horizon + cfg.max_faults + n_tasks + 2 <= cfg.max_steps
     then Some (por_deps cfg sys)
     else None
@@ -610,21 +605,15 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
          in
          last + count + n_tasks + 2 <= cfg.max_steps)
   in
-  let dedup =
-    (* Sound only under the deterministic round-robin interleaving. *)
-    dedup && match interleave with Some (Runner.Seeded _) -> false | _ -> true
-  in
   let prefix =
     (* The shared fault-free stem: every crash-only candidate under the
        silencing adversary replays this prefix up to its first crash
        (net-bearing candidates run whole; {!Runner.resumable} gates). Built
        once, read-only across domains. *)
-    match interleave with
-    | Some (Runner.Seeded _) -> None
-    | _ when scheduled = 0 -> None
-    | _ ->
+    if scheduled = 0 then None
+    else
       Some
-        (Runner.prefix ~monitors:eff_monitors ?inputs ~max_steps:cfg.max_steps
+        (Runner.prefix ~monitors:eff_monitors ~max_steps:cfg.max_steps
            ~steps:(min (max 0 (cfg.horizon - 1)) cfg.max_steps)
            sys)
   in
@@ -700,8 +689,8 @@ let run_par ?monitors ?interleave ?inputs ?config ?(domains = 1) ?(dedup = true)
             else None
           in
           let r =
-            Runner.run ~monitors:eff_monitors ?interleave ?inputs ~max_steps:cfg.max_steps
-              ?on_active ?prefix ~schedule sys
+            Runner.run ~monitors:eff_monitors ~max_steps:cfg.max_steps ?on_active ?prefix
+              ~schedule sys
           in
           let base =
             {

@@ -98,8 +98,6 @@ val space_size : Model.System.t -> config -> int
 
 val run :
   ?monitors:Monitor.t list ->
-  ?interleave:Runner.interleave ->
-  ?inputs:Ioa.Value.t list ->
   ?config:config ->
   ?stop:(unit -> bool) ->
   Model.System.t ->
@@ -165,8 +163,6 @@ val merge : ?wall:bool -> space:int -> scheduled:int -> run_record list -> repor
 
 val run_par :
   ?monitors:Monitor.t list ->
-  ?interleave:Runner.interleave ->
-  ?inputs:Ioa.Value.t list ->
   ?config:config ->
   ?domains:int ->
   ?dedup:bool ->

@@ -69,9 +69,9 @@ type prefix = {
           whose first crash lands at or past the cut ends identically. *)
 }
 
-let prefix ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?inputs ~steps
+let prefix ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ~steps
     (sys : Model.System.t) =
-  let inputs = match inputs with Some vs -> vs | None -> default_inputs sys in
+  let inputs = default_inputs sys in
   let policy = Schedule.policy (Schedule.compile Schedule.empty sys) in
   let tasks = sys.Model.System.tasks in
   let n_tasks = Array.length tasks in

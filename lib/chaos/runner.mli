@@ -57,7 +57,6 @@ type prefix
 val prefix :
   ?monitors:Monitor.t list ->
   ?max_steps:int ->
-  ?inputs:Ioa.Value.t list ->
   steps:int ->
   Model.System.t ->
   prefix
@@ -66,8 +65,8 @@ val prefix :
     snapshotting every prefix. The walk stops early at a safety violation or
     at [max_steps]; runs whose first crash lands at or past the stop end
     identically and inherit the recorded outcome. Must be built with the
-    same [monitors], [max_steps] and [inputs] the runs it serves use —
-    resuming is unsound otherwise. *)
+    same [monitors] and [max_steps] the runs it serves use, and serve only
+    runs on {!default_inputs} — resuming is unsound otherwise. *)
 
 val run :
   ?monitors:Monitor.t list ->

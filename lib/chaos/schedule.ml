@@ -249,8 +249,10 @@ let parse s =
     |> List.filter (fun tok -> tok <> "")
   in
   let parse_int what str =
+    (* Decimal digits only: [int_of_string] would also take "0x10" or "1_0",
+       giving one schedule several spellings. *)
     match int_of_string_opt str with
-    | Some n when n >= 0 -> Ok n
+    | Some n when String.for_all (fun c -> c >= '0' && c <= '9') str -> Ok n
     | _ -> Error (Printf.sprintf "bad %s %S" what str)
   in
   let parse_blocks str =

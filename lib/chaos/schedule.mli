@@ -129,8 +129,9 @@ val parse : string -> (t, string) result
     [dup@STEP:SERVICE:ENDPOINT], [delay@STEP:SERVICE:ENDPOINT:LAG],
     [partition@STEP:BLOCKS:HEAL] with BLOCKS pids joined by ['.'] and blocks
     by ['|'] (e.g. [partition@2:0|1.2:9]), and the adversary markers
-    [helpful] / [silencing]. Lines starting with ['#'] are ignored, so
-    [--witness-out] files with trajectory annotations round-trip. *)
+    [helpful] / [silencing]. Every number is plain decimal digits. Lines
+    starting with ['#'] are ignored, so [--witness-out] files with
+    trajectory annotations round-trip. *)
 
 val validate : Model.System.t -> t -> (unit, string) result
 (** Check pids are in range, silenced services exist, net-fault endpoints

@@ -31,8 +31,7 @@ let find_bivalent ?max_states sys =
     (fun e -> Valence.equal_verdict e.verdict Valence.Bivalent)
     (staircase ?max_states sys)
 
-let staircase_flip ?max_states sys =
-  let entries = staircase ?max_states sys in
+let staircase_flip entries =
   let rec go = function
     | a :: (b :: _ as rest) ->
       if Valence.equal_verdict a.verdict Valence.Bivalent then None

@@ -24,9 +24,10 @@ val all_binary : ?max_states:int -> Model.System.t -> entry list
 val find_bivalent : ?max_states:int -> Model.System.t -> entry option
 (** The first bivalent entry of the staircase, as Lemma 4 produces it. *)
 
-val staircase_flip : ?max_states:int -> Model.System.t -> (entry * entry) option
-(** When no staircase entry is bivalent: the consecutive pair
-    (α_i 0-valent, α_{i+1} 1-valent or bivalent) that the Lemma 4 argument
-    turns into a contradiction. [None] if a bivalent entry exists first. *)
+val staircase_flip : entry list -> (entry * entry) option
+(** Over the entries {!staircase} computed, when no entry is bivalent: the
+    consecutive pair (α_i 0-valent, α_{i+1} 1-valent or bivalent) that the
+    Lemma 4 argument turns into a contradiction. [None] if a bivalent entry
+    exists first. *)
 
 val pp_entry : Format.formatter -> entry -> unit

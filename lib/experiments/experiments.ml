@@ -128,7 +128,13 @@ let e2_bivalent_initialization () =
             Format.asprintf "%a" Engine.Valence.pp_verdict e.Engine.Initialization.verdict)
           entries
       in
-      let has_bivalent = Option.is_some (Engine.Initialization.find_bivalent sys) in
+      let has_bivalent =
+        List.exists
+          (fun e ->
+            Engine.Valence.equal_verdict e.Engine.Initialization.verdict
+              Engine.Valence.Bivalent)
+          entries
+      in
       row "E2"
         (Printf.sprintf "staircase direct n=%d f=%d" n f)
         "some α_i bivalent (Lemma 4)"

@@ -28,7 +28,64 @@ let test_parse_errors () =
       match Chaos.Schedule.parse spec with
       | Ok _ -> Alcotest.failf "expected parse error for %S" spec
       | Error _ -> ())
-    [ "crash@x:1"; "crash@1:"; "explode@1:2"; "crash@-1:0" ]
+    [ "crash@x:1"; "crash@1:"; "explode@1:2"; "crash@-1:0"; "crash@0x10:0"; "crash@1_0:0";
+      "crash@+1:0"; "drop@0:obj:0o1" ]
+
+let schedule_gen =
+  let open QCheck2.Gen in
+  let n = int_bound 40 and service = oneofl [ "cons"; "obj"; "tob"; "net01" ] in
+  let fault =
+    oneof
+      [
+        map2 (fun step pid -> Chaos.Schedule.crash ~step ~pid) n n;
+        map2 (fun step service -> Chaos.Schedule.silence ~step ~service) n service;
+        map3
+          (fun step service endpoint -> Chaos.Schedule.drop ~step ~service ~endpoint)
+          n service n;
+        map3
+          (fun step service endpoint -> Chaos.Schedule.duplicate ~step ~service ~endpoint)
+          n service n;
+        map3
+          (fun (step, lag) service endpoint ->
+            Chaos.Schedule.delay ~step ~service ~endpoint ~lag)
+          (pair n n) service n;
+        map3
+          (fun step blocks heal_at -> Chaos.Schedule.partition ~step ~blocks ~heal_at)
+          n
+          (list_size (int_range 1 3) (list_size (int_range 1 3) n))
+          n;
+      ]
+  in
+  let pref = oneofl [ Model.System.Prefer_real; Model.System.Prefer_dummy ] in
+  map2
+    (fun default_pref faults -> Chaos.Schedule.make ~default_pref faults)
+    pref
+    (list_size (int_bound 6) fault)
+
+let qcheck_parse_round_trip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"schedule parse inverts to_string" ~count:200
+       ~print:Chaos.Schedule.to_string schedule_gen (fun s ->
+         match Chaos.Schedule.parse (Chaos.Schedule.to_string s) with
+         | Ok s' -> Chaos.Schedule.equal s s'
+         | Error _ -> false))
+
+let qcheck_parse_total =
+  qtest "schedule parse never raises" ~count:500
+    QCheck2.Gen.(
+      oneof
+        [
+          string_size ~gen:printable (int_bound 40);
+          (* Near-misses: printed schedules with one character overwritten. *)
+          map3
+            (fun s i c ->
+              let s = Bytes.of_string (Chaos.Schedule.to_string s) in
+              if Bytes.length s > 0 then Bytes.set s (i mod Bytes.length s) c;
+              Bytes.to_string s)
+            schedule_gen (int_bound 1_000) printable;
+        ])
+    (fun s ->
+      match Chaos.Schedule.parse s with Ok _ | Error _ -> true)
 
 let test_validate () =
   let sys = Protocols.Register_wait.system () in
@@ -192,6 +249,8 @@ let suite =
     [
       Alcotest.test_case "schedule parse round-trips" `Quick test_parse_round_trip;
       Alcotest.test_case "schedule parse rejects junk" `Quick test_parse_errors;
+      qcheck_parse_round_trip;
+      qcheck_parse_total;
       Alcotest.test_case "schedule validation" `Quick test_validate;
       Alcotest.test_case "register-wait: found, shrunk, proven" `Quick
         test_register_wait_violation;

@@ -89,7 +89,7 @@ let test_staircase_register_wait () =
     verdicts;
   Alcotest.(check bool) "no bivalent entry" true
     (E.Initialization.find_bivalent sys = None);
-  match E.Initialization.staircase_flip sys with
+  match E.Initialization.staircase_flip entries with
   | Some (a, b) ->
     Alcotest.check verdict_testable "flip left" E.Valence.Zero_valent a.E.Initialization.verdict;
     Alcotest.check verdict_testable "flip right" E.Valence.One_valent b.E.Initialization.verdict
