@@ -5,30 +5,45 @@ open Cmdliner
 
 module Registry = Protocols.Registry
 
-(* The one protocol table: bin, perfbench and the test-suites all enumerate
-   [Registry.all]. *)
-let protocol_conv =
+(* --- the argument layer: every subcommand parses its protocol, (n, f)
+   parameters and counts here, so garbage is a usage error (exit 124) before
+   any run starts, never an exception or a vacuous verdict --- *)
+
+(* The one protocol converter, over the one protocol table ([Registry.all],
+   which bin, perfbench and the test-suites all enumerate). [extra] widens it
+   with entries outside the registry. *)
+let protocol_conv ?(extra = []) () =
+  let table = extra @ Registry.all in
+  let name (e : Registry.entry) = e.Registry.name in
   let parse s =
-    match Registry.find s with
+    match List.find_opt (fun e -> String.equal (name e) s) table with
     | Some e -> Ok e
     | None ->
       Error
         (`Msg
           (Printf.sprintf "unknown protocol: %s (expected one of %s)" s
-             (String.concat " | " Registry.sorted_names)))
+             (String.concat " | " (List.sort String.compare (List.map name table)))))
   in
-  let print ppf (e : Registry.entry) = Format.pp_print_string ppf e.Registry.name in
+  let print ppf e = Format.pp_print_string ppf (name e) in
   Arg.conv (parse, print)
-
-let params ~n ~f ~groups ~group_size = { Registry.n; f; groups; group_size }
-
-let build_system e ~n ~f ~groups ~group_size =
-  e.Registry.build (params ~n ~f ~groups ~group_size)
 
 let protocol_doc = "Protocol: " ^ String.concat " | " Registry.names ^ "."
 
 let protocol_arg =
-  Arg.(required & pos 0 (some protocol_conv) None & info [] ~docv:"PROTOCOL" ~doc:protocol_doc)
+  Arg.(
+    required
+    & pos 0 (some (protocol_conv ())) None
+    & info [] ~docv:"PROTOCOL" ~doc:protocol_doc)
+
+(* The same positional where the synopsis shows it optional ([lint] takes
+   --all instead; [chaos] and [serve] keep their synopsis): a missing
+   PROTOCOL is still a usage error. *)
+let protocol_opt ?extra ~doc () =
+  Arg.(value & pos 0 (some (protocol_conv ?extra ())) None & info [] ~docv:"PROTOCOL" ~doc)
+
+let require_protocol arg =
+  let present = Option.to_result ~none:"required argument PROTOCOL is missing" in
+  Term.(term_result' ~usage:true (const present $ arg))
 
 (* Counts, sizes and rates: an out-of-range value is a usage error, like an
    unparsable one, rather than an exception or a vacuous run. *)
@@ -44,19 +59,36 @@ let int_at_least lo expected =
 let pos_int = int_at_least 1 "a positive integer"
 let nonneg_int = int_at_least 0 "a non-negative integer"
 
-let n_arg =
-  Arg.(value & opt pos_int 2 & info [ "n"; "procs" ] ~docv:"N" ~doc:"Number of processes.")
-let f_arg = Arg.(value & opt int 0 & info [ "f"; "resilience" ] ~docv:"F" ~doc:"Service resilience level.")
+(* The one parameter term: a [Registry.params] every protocol constructor
+   accepts. *)
+let params_term =
+  let d = Registry.default_params in
+  let n =
+    Arg.(
+      value & opt pos_int d.n & info [ "n"; "procs" ] ~docv:"N" ~doc:"Number of processes.")
+  in
+  let f =
+    Arg.(
+      value & opt nonneg_int d.f
+      & info [ "f"; "resilience" ] ~docv:"F" ~doc:"Service resilience level.")
+  in
+  let groups =
+    Arg.(value & opt pos_int d.groups & info [ "groups" ] ~docv:"G" ~doc:"k-set groups.")
+  in
+  let group_size =
+    Arg.(
+      value & opt pos_int d.group_size
+      & info [ "group-size" ] ~docv:"S" ~doc:"Processes per group.")
+  in
+  Term.(
+    const (fun n f groups group_size -> { Registry.n; f; groups; group_size })
+    $ n $ f $ groups $ group_size)
 
 let failures_arg =
   Arg.(value & opt int 1 & info [ "failures" ] ~docv:"K" ~doc:"Claimed resilience (= f + 1).")
 
-let groups_arg = Arg.(value & opt int 2 & info [ "groups" ] ~docv:"G" ~doc:"k-set groups.")
-
-let group_size_arg =
-  Arg.(value & opt int 2 & info [ "group-size" ] ~docv:"S" ~doc:"Processes per group.")
-
-let seeds_arg = Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"S" ~doc:"Random-run count.")
+let seeds_arg =
+  Arg.(value & opt pos_int 20 & info [ "seeds" ] ~docv:"S" ~doc:"Random-run count.")
 
 (* --- the persistent analysis cache: shared flags --- *)
 
@@ -101,13 +133,14 @@ let finish_cache ~stats_out cache =
     Format.eprintf "%a@." Analysis.Cache.pp_stats c
 
 let max_states_arg =
-  Arg.(value & opt int 200_000 & info [ "max-states" ] ~docv:"B" ~doc:"State-space bound.")
+  Arg.(
+    value & opt pos_int 200_000 & info [ "max-states" ] ~docv:"B" ~doc:"State-space bound.")
 
 (* --- refute --- *)
 
 let refute_cmd =
-  let run protocol n f failures groups group_size max_states =
-    let sys = build_system protocol ~n ~f ~groups ~group_size in
+  let run protocol params failures max_states =
+    let sys = protocol.Registry.build params in
     let np = Model.System.n_processes sys in
     if not (0 < failures && failures < np) then begin
       Format.eprintf "--failures %d: need 0 < K < %d (the process count)@." failures np;
@@ -122,9 +155,7 @@ let refute_cmd =
       | Engine.Counterexample.Out_of_budget _ -> 2
   in
   let term =
-    Term.(
-      const run $ protocol_arg $ n_arg $ f_arg $ failures_arg $ groups_arg $ group_size_arg
-      $ max_states_arg)
+    Term.(const run $ protocol_arg $ params_term $ failures_arg $ max_states_arg)
   in
   Cmd.v
     (Cmd.info "refute"
@@ -136,16 +167,13 @@ let refute_cmd =
 (* --- staircase --- *)
 
 let staircase_cmd =
-  let run protocol n f groups group_size =
-    let sys = build_system protocol ~n ~f ~groups ~group_size in
+  let run protocol params =
     List.iter
       (fun e -> Format.printf "%a@." Engine.Initialization.pp_entry e)
-      (Engine.Initialization.staircase sys);
+      (Engine.Initialization.staircase (protocol.Registry.build params));
     0
   in
-  let term =
-    Term.(const run $ protocol_arg $ n_arg $ f_arg $ groups_arg $ group_size_arg)
-  in
+  let term = Term.(const run $ protocol_arg $ params_term) in
   Cmd.v
     (Cmd.info "staircase" ~doc:"Print the Lemma 4 staircase of initializations with valences.")
     term
@@ -153,8 +181,8 @@ let staircase_cmd =
 (* --- explore --- *)
 
 let explore_cmd =
-  let run protocol n f groups group_size max_states =
-    let sys = build_system protocol ~n ~f ~groups ~group_size in
+  let run protocol params max_states =
+    let sys = protocol.Registry.build params in
     let inputs =
       List.init (Model.System.n_processes sys) (fun i -> Ioa.Value.int (i mod 2))
     in
@@ -169,51 +197,27 @@ let explore_cmd =
       Engine.Valence.[ Zero_valent; One_valent; Bivalent; Blank ];
     0
   in
-  let term =
-    Term.(
-      const run $ protocol_arg $ n_arg $ f_arg $ groups_arg $ group_size_arg $ max_states_arg)
-  in
+  let term = Term.(const run $ protocol_arg $ params_term $ max_states_arg) in
   Cmd.v (Cmd.info "explore" ~doc:"Materialize G(C) and print the valence census.") term
 
 (* --- run (positive protocols) --- *)
 
 let run_cmd =
-  let run protocol n f groups group_size seeds =
-    let sys = build_system protocol ~n ~f ~groups ~group_size in
+  let run protocol params seeds =
+    let sys = protocol.Registry.build params in
     let np = Model.System.n_processes sys in
-    let k = protocol.Registry.k_of (params ~n ~f ~groups ~group_size) in
-    let ok = ref 0 in
-    for seed = 0 to seeds - 1 do
-      let exec0 =
-        List.fold_left
-          (fun (e, i) v -> Model.Exec.append_init sys e i (Ioa.Value.int v), i + 1)
-          (Model.Exec.init (Model.System.initial_state sys), 0)
-          (List.init np Fun.id)
-        |> fst
-      in
-      let sched =
-        Model.Scheduler.random ~seed ~fail_prob:0.02 ~max_failures:(np - 1) sys
-      in
-      let exec, _ =
-        Model.Scheduler.run ~policy:Model.System.dummy_policy
-          ~stop_when:Model.Properties.termination ~max_steps:60_000 sys exec0 sched
-      in
-      let final = Model.Exec.last_state exec in
-      let r = Model.Properties.check ~k final in
-      if
-        r.Model.Properties.agreement && r.Model.Properties.validity
-        && r.Model.Properties.termination
-      then incr ok
-      else
-        Format.printf "seed %d: %a@." seed Model.Properties.pp_report r
-    done;
-    Format.printf "%d/%d adversarial runs satisfied the specification@." !ok seeds;
-    if !ok = seeds then 0 else 1
+    let failing =
+      Experiments.random_consensus_runs ~sys ~inputs:(List.init np Fun.id) ~seeds
+        ~max_failures:(np - 1) ~k:(protocol.Registry.k_of params)
+    in
+    List.iter
+      (fun (seed, r) -> Format.printf "seed %d: %a@." seed Model.Properties.pp_report r)
+      failing;
+    Format.printf "%d/%d adversarial runs satisfied the specification@."
+      (seeds - List.length failing) seeds;
+    if failing = [] then 0 else 1
   in
-  let term =
-    Term.(
-      const run $ protocol_arg $ n_arg $ f_arg $ groups_arg $ group_size_arg $ seeds_arg)
-  in
+  let term = Term.(const run $ protocol_arg $ params_term $ seeds_arg) in
   Cmd.v
     (Cmd.info "run"
        ~doc:
@@ -224,8 +228,8 @@ let run_cmd =
 (* --- lemmas --- *)
 
 let lemmas_cmd =
-  let run protocol n f failures groups group_size =
-    let sys = build_system protocol ~n ~f ~groups ~group_size in
+  let run protocol params failures =
+    let sys = protocol.Registry.build params in
     let analyses =
       List.map
         (fun (e : Engine.Initialization.entry) -> e.Engine.Initialization.analysis)
@@ -249,10 +253,7 @@ let lemmas_cmd =
     List.iter (fun a -> report "valence: SCC vs naive oracle" (Engine.Lemma_check.scc_vs_naive a)) analyses;
     0
   in
-  let term =
-    Term.(
-      const run $ protocol_arg $ n_arg $ f_arg $ failures_arg $ groups_arg $ group_size_arg)
-  in
+  let term = Term.(const run $ protocol_arg $ params_term $ failures_arg) in
   Cmd.v
     (Cmd.info "lemmas"
        ~doc:
@@ -264,49 +265,41 @@ let lemmas_cmd =
 (* --- chaos --- *)
 
 (* fd-network is deliberately not in the registry: it decides nothing (the
-   lint analyzer flags blank protocols as errors), so the chaos command
-   resolves it here and swaps f-termination for the ◇P monitors its spec
-   actually promises. *)
-let chaos_resolve name ~degrade ~n ~f ~groups ~group_size =
-  match name with
-  | "fd-network" | "fd_network" ->
-    let sys = Protocols.Fd_network.system ~n:(max n 2) in
+   lint analyzer flags blank protocols as errors), so only the chaos command
+   accepts it, and swaps f-termination for the ◇P monitors its spec actually
+   promises. *)
+let fd_network =
+  {
+    Registry.name = "fd-network";
+    doc = "an n-process perfect failure detector from pairwise perfect detectors";
+    build = (fun p -> Protocols.Fd_network.system ~n:(max p.Registry.n 2));
+    k_of = (fun _ -> 1);
+    claims = (fun _ -> Analysis.Guarantee.no_claim);
+  }
+
+let chaos_monitors protocol ~degrade =
+  if protocol == fd_network then
     let output = Protocols.Fd_network.output_of in
-    Ok
-      ( sys,
-        Some
-          (Chaos.Monitor.safety ~degrade ()
-          @ [
-              Chaos.Monitor.fd_completeness ~output ();
-              Chaos.Monitor.fd_accuracy ~output ();
-              Chaos.Monitor.linearizability ~degrade ();
-            ]) )
-  | name -> (
-    match Registry.find name with
-    | Some e ->
-      (* No explicit monitors: the explorer resolves the (degrade-aware)
-         default family itself, keeping the static oracles engaged — they
-         key on the caller not overriding the defaults. *)
-      Ok (build_system e ~n ~f ~groups ~group_size, None)
-    | None ->
-      Error
-        (Printf.sprintf "unknown protocol: %s (expected fd-network | %s)" name
-           (String.concat " | " Registry.sorted_names)))
+    Some
+      (Chaos.Monitor.safety ~degrade ()
+      @ [
+          Chaos.Monitor.fd_completeness ~output ();
+          Chaos.Monitor.fd_accuracy ~output ();
+          Chaos.Monitor.linearizability ~degrade ();
+        ])
+  else
+    (* No explicit monitors: the explorer resolves the (degrade-aware)
+       default family itself, keeping the static oracles engaged — they key
+       on the caller not overriding the defaults. *)
+    None
 
 let chaos_cmd =
-  let protocol_pos =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"PROTOCOL"
-          ~doc:("Protocol to attack: fd-network | " ^ String.concat " | " Registry.names ^ "."))
-  in
-  let protocol_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"PROTOCOL"
-          ~doc:"Alias for the positional PROTOCOL argument.")
+  let protocol_arg =
+    require_protocol
+      (protocol_opt ~extra:[ fd_network ]
+         ~doc:
+           ("Protocol to attack: fd-network | " ^ String.concat " | " Registry.names ^ ".")
+         ())
   in
   let faults_conv =
     let parse s =
@@ -378,17 +371,19 @@ let chaos_cmd =
       value & opt pos_int 64 & info [ "runs" ] ~docv:"R" ~doc:"Seeded mode: seeds to try.")
   in
   let max_steps_arg =
-    Arg.(value & opt int 20_000 & info [ "max-steps" ] ~docv:"M" ~doc:"Per-run step bound.")
+    Arg.(
+      value & opt pos_int 20_000
+      & info [ "max-steps" ] ~docv:"M" ~doc:"Per-run step bound.")
   in
   let horizon_arg =
     Arg.(
-      value & opt int 0
+      value & opt nonneg_int 0
       & info [ "horizon" ] ~docv:"H"
           ~doc:"Crash steps range over [0, H) (0 = twice the task count).")
   in
   let budget_arg =
     Arg.(
-      value & opt int 1_024
+      value & opt pos_int 1_024
       & info [ "budget" ] ~docv:"B"
           ~doc:
             "Systematic mode: maximum schedules to run. Truncation of the enumeration \
@@ -401,7 +396,7 @@ let chaos_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Systematic mode: explore with N parallel domains (each takes the next \
@@ -491,179 +486,165 @@ let chaos_cmd =
              $(b,--witness-out) appends the vector trajectory as '#' comment lines. \
              Off by default; crash-only reports are byte-identical without it.")
   in
-  let run protocol_pos protocol_opt n f groups group_size faults max_faults seed runs
-      max_steps horizon budget stride jobs dedup shrink static_prune por prune_stats_out
-      schedule timeout witness_out degrade =
-    let name =
-      match protocol_pos, protocol_opt with
-      | Some p, None | None, Some p -> Ok p
-      | Some a, Some b when String.equal a b -> Ok a
-      | Some _, Some _ -> Error "give PROTOCOL positionally or via --protocol, not both"
-      | None, None -> Error "need a PROTOCOL argument (or --protocol)"
+  let run protocol params faults max_faults seed runs max_steps horizon budget stride jobs
+      dedup shrink static_prune por prune_stats_out schedule timeout witness_out degrade =
+    let sys = protocol.Registry.build params in
+    let monitors = chaos_monitors protocol ~degrade in
+    let horizon =
+      if horizon > 0 then horizon else 2 * Array.length sys.Model.System.tasks
     in
-    match
-      Result.bind name (fun name -> chaos_resolve name ~degrade ~n ~f ~groups ~group_size)
-    with
-    | Error e ->
-      Format.eprintf "%s@." e;
-      3
-    | Ok (sys, monitors) -> (
-      let horizon =
-        if horizon > 0 then horizon else 2 * Array.length sys.Model.System.tasks
-      in
-      match schedule with
-      | Some spec -> (
-        match Chaos.Schedule.parse spec with
+    match schedule with
+    | Some spec -> (
+      match Chaos.Schedule.parse spec with
+      | Error e ->
+        Format.eprintf "bad --schedule: %s@." e;
+        3
+      | Ok schedule -> (
+        match Chaos.Schedule.validate sys schedule with
         | Error e ->
           Format.eprintf "bad --schedule: %s@." e;
           3
-        | Ok schedule -> (
-          match Chaos.Schedule.validate sys schedule with
-          | Error e ->
-            Format.eprintf "bad --schedule: %s@." e;
-            3
-          | Ok () -> (
-            (* A single explicit run bypasses the explorer's defaulting, so
-               resolve the (degrade-aware) default family here. *)
-            let monitors =
-              Option.value monitors ~default:(Chaos.Monitor.defaults ~degrade ())
-            in
-            let r = Chaos.Runner.run ~monitors ~max_steps ~schedule sys in
-            List.iter
-              (fun (m, cat, why) ->
-                Format.printf "monitor %s truncated [%s]: %s@." m
-                  (Chaos.Monitor.category_name cat)
-                  why)
-              r.Chaos.Runner.monitor_truncations;
-            if r.Chaos.Runner.undelivered_crashes > 0 then
-              Format.printf "%d scheduled crash(es) fell beyond --max-steps@."
-                r.Chaos.Runner.undelivered_crashes;
-            if r.Chaos.Runner.undelivered_net > 0 then
-              Format.printf "%d scheduled network fault(s) fell beyond --max-steps@."
-                r.Chaos.Runner.undelivered_net;
-            if r.Chaos.Runner.vacuous_net_faults > 0 then
-              Format.printf "%d delivered network fault(s) found an empty buffer@."
-                r.Chaos.Runner.vacuous_net_faults;
-            Format.printf "%d steps: %a@." r.Chaos.Runner.steps Chaos.Runner.pp_stop
-              r.Chaos.Runner.stop;
-            match r.Chaos.Runner.stop with
-            | Chaos.Runner.Violation _ ->
-              if degrade then
-                Format.printf "degraded to %s@."
-                  (Chaos.Degrade.describe sys r.Chaos.Runner.exec);
-              1
-            | Chaos.Runner.Lasso _ | Chaos.Runner.Budget | Chaos.Runner.Pruned -> 0)))
-      | None ->
-        let max_faults, kinds =
-          match faults with
-          | `Count k -> k, None
-          | `Kinds ks -> max_faults, Some ks
-        in
-        let mode =
-          match seed with
-          | Some seed ->
-            Chaos.Driver.Seeded
-              {
-                seed;
-                runs;
-                max_faults;
-                horizon;
-                max_steps;
-                kinds =
-                  Option.value kinds
-                    ~default:[ Chaos.Schedule.Crash_k; Chaos.Schedule.Silence_k ];
-                degrade;
-              }
-          | None ->
-            Chaos.Driver.Systematic
-              {
-                Chaos.Explore.max_faults;
-                horizon;
-                stride;
-                budget;
-                max_steps;
-                kinds = Option.value kinds ~default:[ Chaos.Schedule.Crash_k ];
-                degrade;
-              }
-        in
-        (* Wall-clock budget: expiry and SIGINT share one graceful path —
-           finish the schedule in flight, report partially, exit 2. *)
-        let interrupted = ref false in
-        let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
-        let prev_sigint =
-          Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> interrupted := true))
-        in
-        let stop () =
-          !interrupted
-          || match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
-        in
-        let report =
-          Chaos.Driver.run ?monitors ~shrink ~domains:jobs ~dedup ~static_prune ~por ~stop
-            mode sys
-        in
-        Sys.set_signal Sys.sigint prev_sigint;
-        Format.printf "%a@." Chaos.Driver.pp_report report;
-        (match prune_stats_out with
-        | None -> ()
-        | Some file ->
-          write_file file
-            (Printf.sprintf
-              "{\n\
-              \  \"examined\": %d,\n\
-              \  \"space\": %d,\n\
-              \  \"truncated\": %b,\n\
-              \  \"wall_truncated\": %b,\n\
-              \  \"dedup_hits\": %d,\n\
-              \  \"static_prunes\": %d,\n\
-              \  \"por_prunes\": %d,\n\
-              \  \"step_budget_hits\": %d,\n\
-              \  \"monitor_truncations\": %d,\n\
-              \  \"vacuous_net_faults\": %d,\n\
-              \  \"violation\": %b\n\
-               }\n"
-              report.Chaos.Driver.examined report.Chaos.Driver.space
-              report.Chaos.Driver.truncated report.Chaos.Driver.wall_truncated
-              report.Chaos.Driver.dedup_hits report.Chaos.Driver.static_prunes
-              report.Chaos.Driver.por_prunes report.Chaos.Driver.step_budget_hits
-              report.Chaos.Driver.monitor_truncations
-              report.Chaos.Driver.vacuous_net_faults
-              (match report.Chaos.Driver.outcome with
-              | Chaos.Driver.Violated _ -> true
-              | Chaos.Driver.Passed -> false));
-          (* stderr, so pruned-vs-oracle stdout diffs stay clean *)
-          Format.eprintf "prune statistics written to %s@." file);
-        (match report.Chaos.Driver.outcome, witness_out with
-        | Chaos.Driver.Violated { original; minimized; _ }, Some file ->
-          let v = Option.value minimized ~default:original in
-          let b = Buffer.create 256 in
-          Buffer.add_string b (Chaos.Schedule.to_string v.Chaos.Explore.schedule);
-          Buffer.add_char b '\n';
-          if degrade then begin
-            (* The vector trajectory rides along as comment lines, which
-               Schedule.parse ignores, so the file still replays. *)
-            let baseline, changes = Chaos.Degrade.trajectory sys v.Chaos.Explore.exec in
-            Printf.bprintf b "# baseline: %s\n" (Analysis.Gvector.to_string baseline);
-            List.iter
-              (fun (step, event, vec) ->
-                Printf.bprintf b "# step %d %s: %s\n" step
-                  (Model.Event.to_string event)
-                  (Analysis.Gvector.to_string vec))
-              changes
-          end;
-          write_file file (Buffer.contents b);
-          Format.printf "witness schedule written to %s@." file
-        | _ -> ());
-        (match report.Chaos.Driver.outcome with
-        | Chaos.Driver.Violated _ -> 1
-        | Chaos.Driver.Passed -> if report.Chaos.Driver.wall_truncated then 2 else 0))
+        | Ok () -> (
+          (* A single explicit run bypasses the explorer's defaulting, so
+             resolve the (degrade-aware) default family here. *)
+          let monitors =
+            Option.value monitors ~default:(Chaos.Monitor.defaults ~degrade ())
+          in
+          let r = Chaos.Runner.run ~monitors ~max_steps ~schedule sys in
+          List.iter
+            (fun (m, cat, why) ->
+              Format.printf "monitor %s truncated [%s]: %s@." m
+                (Chaos.Monitor.category_name cat)
+                why)
+            r.Chaos.Runner.monitor_truncations;
+          if r.Chaos.Runner.undelivered_crashes > 0 then
+            Format.printf "%d scheduled crash(es) fell beyond --max-steps@."
+              r.Chaos.Runner.undelivered_crashes;
+          if r.Chaos.Runner.undelivered_net > 0 then
+            Format.printf "%d scheduled network fault(s) fell beyond --max-steps@."
+              r.Chaos.Runner.undelivered_net;
+          if r.Chaos.Runner.vacuous_net_faults > 0 then
+            Format.printf "%d delivered network fault(s) found an empty buffer@."
+              r.Chaos.Runner.vacuous_net_faults;
+          Format.printf "%d steps: %a@." r.Chaos.Runner.steps Chaos.Runner.pp_stop
+            r.Chaos.Runner.stop;
+          match r.Chaos.Runner.stop with
+          | Chaos.Runner.Violation _ ->
+            if degrade then
+              Format.printf "degraded to %s@."
+                (Chaos.Degrade.describe sys r.Chaos.Runner.exec);
+            1
+          | Chaos.Runner.Lasso _ | Chaos.Runner.Budget | Chaos.Runner.Pruned -> 0)))
+    | None ->
+      let max_faults, kinds =
+        match faults with
+        | `Count k -> k, None
+        | `Kinds ks -> max_faults, Some ks
+      in
+      let mode =
+        match seed with
+        | Some seed ->
+          Chaos.Driver.Seeded
+            {
+              seed;
+              runs;
+              max_faults;
+              horizon;
+              max_steps;
+              kinds =
+                Option.value kinds
+                  ~default:[ Chaos.Schedule.Crash_k; Chaos.Schedule.Silence_k ];
+              degrade;
+            }
+        | None ->
+          Chaos.Driver.Systematic
+            {
+              Chaos.Explore.max_faults;
+              horizon;
+              stride;
+              budget;
+              max_steps;
+              kinds = Option.value kinds ~default:[ Chaos.Schedule.Crash_k ];
+              degrade;
+            }
+      in
+      (* Wall-clock budget: expiry and SIGINT share one graceful path —
+         finish the schedule in flight, report partially, exit 2. *)
+      let interrupted = ref false in
+      let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
+      let prev_sigint =
+        Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> interrupted := true))
+      in
+      let stop () =
+        !interrupted
+        || match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
+      in
+      let report =
+        Chaos.Driver.run ?monitors ~shrink ~domains:jobs ~dedup ~static_prune ~por ~stop
+          mode sys
+      in
+      Sys.set_signal Sys.sigint prev_sigint;
+      Format.printf "%a@." Chaos.Driver.pp_report report;
+      (match prune_stats_out with
+      | None -> ()
+      | Some file ->
+        write_file file
+          (Printf.sprintf
+            "{\n\
+            \  \"examined\": %d,\n\
+            \  \"space\": %d,\n\
+            \  \"truncated\": %b,\n\
+            \  \"wall_truncated\": %b,\n\
+            \  \"dedup_hits\": %d,\n\
+            \  \"static_prunes\": %d,\n\
+            \  \"por_prunes\": %d,\n\
+            \  \"step_budget_hits\": %d,\n\
+            \  \"monitor_truncations\": %d,\n\
+            \  \"vacuous_net_faults\": %d,\n\
+            \  \"violation\": %b\n\
+             }\n"
+            report.Chaos.Driver.examined report.Chaos.Driver.space
+            report.Chaos.Driver.truncated report.Chaos.Driver.wall_truncated
+            report.Chaos.Driver.dedup_hits report.Chaos.Driver.static_prunes
+            report.Chaos.Driver.por_prunes report.Chaos.Driver.step_budget_hits
+            report.Chaos.Driver.monitor_truncations
+            report.Chaos.Driver.vacuous_net_faults
+            (match report.Chaos.Driver.outcome with
+            | Chaos.Driver.Violated _ -> true
+            | Chaos.Driver.Passed -> false));
+        (* stderr, so pruned-vs-oracle stdout diffs stay clean *)
+        Format.eprintf "prune statistics written to %s@." file);
+      (match report.Chaos.Driver.outcome, witness_out with
+      | Chaos.Driver.Violated { original; minimized; _ }, Some file ->
+        let v = Option.value minimized ~default:original in
+        let b = Buffer.create 256 in
+        Buffer.add_string b (Chaos.Schedule.to_string v.Chaos.Explore.schedule);
+        Buffer.add_char b '\n';
+        if degrade then begin
+          (* The vector trajectory rides along as comment lines, which
+             Schedule.parse ignores, so the file still replays. *)
+          let baseline, changes = Chaos.Degrade.trajectory sys v.Chaos.Explore.exec in
+          Printf.bprintf b "# baseline: %s\n" (Analysis.Gvector.to_string baseline);
+          List.iter
+            (fun (step, event, vec) ->
+              Printf.bprintf b "# step %d %s: %s\n" step
+                (Model.Event.to_string event)
+                (Analysis.Gvector.to_string vec))
+            changes
+        end;
+        write_file file (Buffer.contents b);
+        Format.printf "witness schedule written to %s@." file
+      | _ -> ());
+      (match report.Chaos.Driver.outcome with
+      | Chaos.Driver.Violated _ -> 1
+      | Chaos.Driver.Passed -> if report.Chaos.Driver.wall_truncated then 2 else 0)
   in
   let term =
     Term.(
-      const run $ protocol_pos $ protocol_opt $ n_arg $ f_arg $ groups_arg
-      $ group_size_arg $ faults_arg $ max_faults_arg $ seed_arg $ runs_arg $ max_steps_arg
-      $ horizon_arg $ budget_arg $ stride_arg $ jobs_arg $ dedup_arg $ shrink_arg
-      $ static_prune_arg $ por_arg $ prune_stats_out_arg $ schedule_arg $ timeout_arg
-      $ witness_out_arg $ degrade_arg)
+      const run $ protocol_arg $ params_term $ faults_arg $ max_faults_arg $ seed_arg
+      $ runs_arg $ max_steps_arg $ horizon_arg $ budget_arg $ stride_arg $ jobs_arg
+      $ dedup_arg $ shrink_arg $ static_prune_arg $ por_arg $ prune_stats_out_arg
+      $ schedule_arg $ timeout_arg $ witness_out_arg $ degrade_arg)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -676,20 +657,20 @@ let chaos_cmd =
           and delta-debug any violation to a minimal schedule. With --degrade, network \
           damage degrades the checked guarantee instead of waiving it. Exits 1 with the \
           minimized schedule on violation, 0 when all monitors pass, 2 when the \
-          wall-clock budget truncated the exploration first, 3 on usage errors.")
+          wall-clock budget truncated the exploration first, 3 on an invalid --schedule \
+          or an unwritable output file, 124 on any other usage error.")
     term
 
 (* --- serve --- *)
 
 let serve_cmd =
-  let protocol_pos =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"PROTOCOL"
-          ~doc:
-            ("Protocol to serve on: any registry protocol claiming single-value agreement \
-              (" ^ String.concat " | " Registry.names ^ ")."))
+  let protocol_arg =
+    require_protocol
+      (protocol_opt
+         ~doc:
+           ("Protocol to serve on: any registry protocol claiming single-value agreement \
+             (" ^ String.concat " | " Registry.names ^ ").")
+         ())
   in
   let obj_arg =
     Arg.(
@@ -724,7 +705,7 @@ let serve_cmd =
   in
   let retry_timeout_arg =
     Arg.(
-      value & opt int 8
+      value & opt pos_int 8
       & info [ "retry-timeout" ] ~docv:"T"
           ~doc:
             "Ticks a client waits before resubmitting an operation (exponential backoff, \
@@ -732,13 +713,13 @@ let serve_cmd =
   in
   let rejoin_after_arg =
     Arg.(
-      value & opt int 25
+      value & opt nonneg_int 25
       & info [ "rejoin-after" ] ~docv:"T"
           ~doc:"Ticks a crashed replica stays down before starting catch-up.")
   in
   let catch_up_rate_arg =
     Arg.(
-      value & opt int 32
+      value & opt pos_int 32
       & info [ "catch-up-rate" ] ~docv:"K"
           ~doc:"Commit-log entries a recovering replica replays per tick.")
   in
@@ -779,7 +760,7 @@ let serve_cmd =
   let max_ticks_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "max-ticks" ] ~docv:"T"
           ~doc:"Engine tick bound (default: scaled from --ops, --rate and --rejoin-after).")
   in
@@ -790,7 +771,7 @@ let serve_cmd =
   in
   let lin_max_nodes_arg =
     Arg.(
-      value & opt int 200_000
+      value & opt pos_int 200_000
       & info [ "lin-max-nodes" ] ~docv:"B"
           ~doc:
             "Per-window search budget of the incremental linearizability monitor; \
@@ -825,31 +806,20 @@ let serve_cmd =
             "On a shot violation, write the minimized (or, without shrinking, the \
              original) shot schedule to FILE in $(b,--schedule) syntax.")
   in
-  let run protocol obj clients ops rate batch pipeline retry_timeout rejoin_after
-      catch_up_rate faults max_faults schedule seed max_ticks shot_max_steps lin_max_nodes
-      pin_oracle shrink witness_out n f groups group_size =
+  let run (protocol : Registry.entry) params obj clients ops rate batch pipeline
+      retry_timeout rejoin_after catch_up_rate faults max_faults schedule seed max_ticks
+      shot_max_steps lin_max_nodes pin_oracle shrink witness_out =
     let ( let* ) = Result.bind in
+    let proto = protocol.Registry.name in
     let checked =
-      let* proto =
-        Option.to_result ~none:"need a PROTOCOL argument (e.g. `boost serve direct`)"
-          protocol
-      in
-      let* entry =
-        Option.to_result
-          ~none:
-            (Printf.sprintf "unknown protocol: %s (expected one of %s)" proto
-               (String.concat " | " Registry.sorted_names))
-          (Registry.find proto)
-      in
-      let params = params ~n ~f ~groups ~group_size in
       let* () =
-        if Workload.Engine.eligible entry params then Ok ()
+        if Workload.Engine.eligible protocol params then Ok ()
         else
           Error
             (Printf.sprintf
                "%s at n=%d f=%d does not claim single-value agreement; the engine \
                 commits batches on the decided bit, so it cannot serve on it"
-               proto n f)
+               proto params.Registry.n params.Registry.f)
       in
       let* _obj = Workload.Engine.obj_of_name obj in
       let* schedule =
@@ -859,7 +829,7 @@ let serve_cmd =
           (* Checked against the shot system, as `boost chaos` does. *)
           Result.map_error (Printf.sprintf "bad --schedule: %s")
             (let* s = Chaos.Schedule.parse spec in
-             let* () = Chaos.Schedule.validate (entry.Registry.build params) s in
+             let* () = Chaos.Schedule.validate (protocol.Registry.build params) s in
              Ok (Some s))
       in
       let* kinds =
@@ -870,13 +840,13 @@ let serve_cmd =
           | Ok ks -> Ok ks
           | Error e -> Error (Printf.sprintf "bad --faults: %s" e))
       in
-      Ok (proto, params, schedule, kinds)
+      Ok (schedule, kinds)
     in
     match checked with
     | Error e ->
       Format.eprintf "%s@." e;
       3
-    | Ok (proto, params, schedule, kinds) ->
+    | Ok (schedule, kinds) ->
       let cfg =
         {
           (Workload.Engine.default_config ~proto ()) with
@@ -917,11 +887,11 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ protocol_pos $ obj_arg $ clients_arg $ ops_arg $ rate_arg $ batch_arg
-      $ pipeline_arg $ retry_timeout_arg $ rejoin_after_arg $ catch_up_rate_arg
+      const run $ protocol_arg $ params_term $ obj_arg $ clients_arg $ ops_arg $ rate_arg
+      $ batch_arg $ pipeline_arg $ retry_timeout_arg $ rejoin_after_arg $ catch_up_rate_arg
       $ faults_arg $ max_faults_arg $ schedule_arg $ seed_arg $ max_ticks_arg
       $ shot_max_steps_arg $ lin_max_nodes_arg $ pin_oracle_arg $ shrink_arg
-      $ witness_out_arg $ n_arg $ f_arg $ groups_arg $ group_size_arg)
+      $ witness_out_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -934,23 +904,35 @@ let serve_cmd =
           deterministic per seed. Exits 0 when the run is served (possibly degraded \
           under standing damage), 1 on any violation — shot safety (minimized through \
           the shrinker), linearizability, replica divergence or duplicate application — \
-          and 3 on usage errors.")
+          3 on an ineligible protocol, an invalid --obj, --schedule or --faults, or an \
+          unwritable output file, and 124 on any other usage error.")
     term
 
 (* --- lint --- *)
 
+(* What `boost lint` analyzes: exactly one of a PROTOCOL or --all. *)
+type lint_selection = All | One of Registry.entry
+
 let lint_cmd =
-  let protocol_opt =
-    Arg.(
-      value
-      & pos 0 (some protocol_conv) None
-      & info [] ~docv:"PROTOCOL" ~doc:protocol_doc)
-  in
-  let all_arg =
-    Arg.(
-      value & flag
-      & info [ "all" ]
-          ~doc:"Lint every registry protocol with its default parameters; exit non-zero if any has findings.")
+  let selection =
+    let all_arg =
+      Arg.(
+        value & flag
+        & info [ "all" ]
+            ~doc:
+              "Lint every registry protocol with its default parameters; exit non-zero if \
+               any has findings.")
+    in
+    let select all protocol =
+      match all, protocol with
+      | true, None -> Ok All
+      | false, Some e -> Ok (One e)
+      | true, Some _ -> Error "--all takes no PROTOCOL argument"
+      | false, None -> Error "need a PROTOCOL argument or --all"
+    in
+    Term.(
+      term_result' ~usage:true
+        (const select $ all_arg $ protocol_opt ~doc:protocol_doc ()))
   in
   let max_faults_arg =
     Arg.(
@@ -968,7 +950,7 @@ let lint_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "With --all: lint with N parallel domains. Output stays in registry order, \
@@ -994,66 +976,51 @@ let lint_cmd =
             "With --param: re-lint every certified point fresh (cache-less, concrete) \
              and compare byte-for-byte; exit 1 listing any disagreeing points.")
   in
-  let run all protocol n f groups group_size max_faults json jobs param validate
-      cache_dir cache_stats =
+  let run selection params max_faults json jobs param validate cache_dir cache_stats =
     let cache = Option.map (fun dir -> Analysis.Cache.open_ ~dir) cache_dir in
     let emit_human (r : Registry.lint_result) = print_string r.Registry.human in
-    let selected_for_param () =
-      match all, protocol with
-      | true, None -> Ok (Array.of_list Registry.all)
-      | false, Some e -> Ok [| e |]
-      | true, Some _ ->
-        Format.eprintf "--all takes no PROTOCOL argument@.";
-        Error 3
-      | false, None ->
-        Format.eprintf "need a PROTOCOL argument or --all@.";
-        Error 3
-    in
+    let entries = match selection with All -> Array.of_list Registry.all | One e -> [| e |] in
     let run_param () =
-      match selected_for_param () with
-      | Error c -> c
-      | Ok entries ->
-        let certs =
-          Analysis.Pool.map ~jobs (Array.length entries) (fun i ->
-              entries.(i), Registry.certify ?cache ~max_faults entries.(i))
-          |> Array.to_list |> List.filter_map Fun.id
+      let certs =
+        Analysis.Pool.map ~jobs (Array.length entries) (fun i ->
+            entries.(i), Registry.certify ?cache ~max_faults entries.(i))
+        |> Array.to_list |> List.filter_map Fun.id
+      in
+      List.iter
+        (fun (_, cert) ->
+          if json then print_endline (Analysis.Cert.json cert)
+          else Format.printf "%a@." Analysis.Cert.pp cert)
+        certs;
+      if not validate then 0
+      else begin
+        (* The concrete gate: every stored point re-linted fresh and
+           compared byte-for-byte — a certificate may claim nothing a
+           concrete instantiation would not reproduce. *)
+        let bad =
+          List.concat_map
+            (fun ((e : Registry.entry), cert) ->
+              List.map
+                (fun pt -> e.Registry.name, pt)
+                (Registry.cert_disagreements ~max_faults e cert))
+            certs
         in
-        List.iter
-          (fun (_, cert) ->
-            if json then print_endline (Analysis.Cert.json cert)
-            else Format.printf "%a@." Analysis.Cert.pp cert)
-          certs;
-        if not validate then 0
+        if bad = [] then 0
         else begin
-          (* The concrete gate: every stored point re-linted fresh and
-             compared byte-for-byte — a certificate may claim nothing a
-             concrete instantiation would not reproduce. *)
-          let bad =
-            List.concat_map
-              (fun ((e : Registry.entry), cert) ->
-                List.map
-                  (fun pt -> e.Registry.name, pt)
-                  (Registry.cert_disagreements ~max_faults e cert))
-              certs
-          in
-          if bad = [] then 0
-          else begin
-            List.iter
-              (fun (name, (pn, pf)) ->
-                Format.eprintf
-                  "%s: certificate disagrees with the concrete lint at (n=%d, f=%d)@."
-                  name pn pf)
-              bad;
-            1
-          end
+          List.iter
+            (fun (name, (pn, pf)) ->
+              Format.eprintf
+                "%s: certificate disagrees with the concrete lint at (n=%d, f=%d)@."
+                name pn pf)
+            bad;
+          1
         end
+      end
     in
     let code =
       if param then run_param ()
       else
-      match all, protocol with
-      | true, None ->
-        let entries = Array.of_list Registry.all in
+      match selection with
+      | All ->
         let results =
           Analysis.Pool.map ~jobs (Array.length entries) (fun i ->
               Registry.lint ?cache ~max_faults entries.(i) Registry.default_params)
@@ -1083,9 +1050,8 @@ let lint_cmd =
         | None -> ());
         List.fold_left (fun acc (r : Registry.lint_result) -> max acc r.Registry.code) 0
           results
-      | false, Some e ->
-        let p = params ~n ~f ~groups ~group_size in
-        let r = Registry.lint ?cache ~max_faults e p in
+      | One e ->
+        let r = Registry.lint ?cache ~max_faults e params in
         if json then
           List.iter
             (fun f ->
@@ -1093,21 +1059,14 @@ let lint_cmd =
             r.Registry.findings
         else emit_human r;
         r.Registry.code
-      | true, Some _ ->
-        Format.eprintf "--all takes no PROTOCOL argument@.";
-        3
-      | false, None ->
-        Format.eprintf "need a PROTOCOL argument or --all@.";
-        3
     in
     finish_cache ~stats_out:cache_stats cache;
     code
   in
   let term =
     Term.(
-      const run $ all_arg $ protocol_opt $ n_arg $ f_arg $ groups_arg $ group_size_arg
-      $ max_faults_arg $ json_arg $ jobs_arg $ param_arg $ validate_arg $ cache_dir_arg
-      $ cache_stats_arg)
+      const run $ selection $ params_term $ max_faults_arg $ json_arg $ jobs_arg $ param_arg
+      $ validate_arg $ cache_dir_arg $ cache_stats_arg)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1116,9 +1075,9 @@ let lint_cmd =
           transitions, non-total/non-deterministic task functions (the §3.1 assumptions), \
           statically-blank protocols (no reachable decide), and resilience-interface \
           mismatches. One machine-readable finding per line; exits 0 when no finding is \
-          worse than info, 1 otherwise, 3 on usage errors. With --param, certify over \
-          the whole (n, f) window instead (resilience certificates, validated concretely \
-          under --validate).")
+          worse than info, 1 otherwise, 3 on an unwritable output file, 124 on usage \
+          errors. With --param, certify over the whole (n, f) window instead \
+          (resilience certificates, validated concretely under --validate).")
     term
 
 (* --- cache --- *)

@@ -20,11 +20,7 @@ let () =
     (n * (n - 1) / 2) n;
 
   let exec0 =
-    List.fold_left
-      (fun (e, i) v -> Model.Exec.append_init sys e i (Value.int v), i + 1)
-      (Model.Exec.init (Model.System.initial_state sys), 0)
-      (List.init n Fun.id)
-    |> fst
+    Model.Exec.initialized sys (List.init n Value.int)
   in
 
   (* Kill coordinator 0 before it writes and coordinator 1 somewhere in the

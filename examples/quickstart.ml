@@ -13,11 +13,7 @@ let () =
 
   (* 2. Input-first execution: init(1)_0, init(0)_1, init(1)_2. *)
   let exec =
-    List.fold_left
-      (fun (exec, pid) v -> Model.Exec.append_init sys exec pid (Value.int v), pid + 1)
-      (Model.Exec.init (Model.System.initial_state sys), 0)
-      [ 1; 0; 1 ]
-    |> fst
+    Model.Exec.initialized sys (List.map Value.int [ 1; 0; 1 ])
   in
 
   (* 3. Crash process 2 early, then drive everything round-robin. *)

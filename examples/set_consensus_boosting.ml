@@ -18,11 +18,7 @@ let () =
 
   (* Distinct inputs so the 2-value bound is visible. *)
   let exec0 =
-    List.fold_left
-      (fun (e, i) v -> Model.Exec.append_init sys e i (Value.int v), i + 1)
-      (Model.Exec.init (Model.System.initial_state sys), 0)
-      (List.init n Fun.id)
-    |> fst
+    Model.Exec.initialized sys (List.init n Value.int)
   in
 
   (* Kill processes 0,1,2,4,5 at staggered (early) points: 5 = n-1 failures. *)

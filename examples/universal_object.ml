@@ -21,11 +21,7 @@ let () =
     n n;
 
   let exec0 =
-    List.fold_left
-      (fun (e, i) v -> Model.Exec.append_init sys e i (Value.int v), i + 1)
-      (Model.Exec.init (Model.System.initial_state sys), 0)
-      (List.init n Fun.id)
-    |> fst
+    Model.Exec.initialized sys (List.init n Value.int)
   in
   let sched = Model.Scheduler.round_robin ~faults:[ (40, 1) ] sys in
   let exec, outcome =

@@ -50,9 +50,7 @@ val has_network_service : Model.System.t -> int -> bool
 (** Whether some network-type service covers the pid (its packet flow is the
     one a partition gates). *)
 
-val service_live_vector : t -> Model.Service.t -> Analysis.Gvector.t
 val live_vector : Model.System.t -> t -> Analysis.Gvector.t
-val live_islands : Model.System.t -> t -> int
 
 val describe : Model.System.t -> Model.Exec.t -> string
 (** The live vector at the end of the execution, pretty-printed. *)

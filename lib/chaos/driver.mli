@@ -70,8 +70,6 @@ type report = {
   outcome : outcome;
 }
 
-val witness_of_violation : Explore.violation -> Engine.Counterexample.witness option
-
 val run :
   ?monitors:Monitor.t list ->
   ?shrink:bool ->

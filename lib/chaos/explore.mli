@@ -127,8 +127,9 @@ val run :
     Pruning preserves verdicts, [examined], [space], [truncated],
     [step_budget_hits] and [undelivered_crashes] exactly; only
     [monitor_truncations] can undercount (a pruned run's suffix truncations
-    are not re-counted). Dedup is disabled automatically under [Seeded]
-    interleaving, where runs are not cursor×state deterministic. *)
+    are not re-counted). Exploration always runs the round-robin
+    interleaving, where a run's continuation is a function of cursor and
+    state; seeded chaos mode never dedups. *)
 
 type run_record = {
   rank : int;  (** Enumeration index of the candidate schedule. *)

@@ -93,12 +93,6 @@ val fd_accuracy : output:(Model.State.t -> pid:int -> Spec.Iset.t) -> unit -> t
     — ◇P tolerates finitely many false suspicions until the network heals.
     Opt-in, like {!fd_completeness}. *)
 
-val has_drop : Model.Exec.t -> bool
-(** Whether the execution carries a message-drop network fault. *)
-
-val has_net_fault : Model.Exec.t -> bool
-(** Whether the execution carries any buffer-mutating network fault. *)
-
 val unhealed_partition : Model.Exec.t -> bool
 (** Whether some partition is still in force when the execution ends. *)
 

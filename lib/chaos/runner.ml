@@ -36,13 +36,6 @@ end)
 let default_inputs sys =
   List.init (Model.System.n_processes sys) (fun i -> Ioa.Value.int (i mod 2))
 
-let initialized sys inputs =
-  List.fold_left
-    (fun (exec, i) v -> Model.Exec.append_init sys exec i v, i + 1)
-    (Model.Exec.init (Model.System.initial_state sys), 0)
-    inputs
-  |> fst
-
 (* The fault-free round-robin prefix, shared across candidate schedules.
 
    Every crash-only schedule under the silencing adversary behaves
@@ -103,7 +96,7 @@ let prefix ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ~steps
           }
         | None -> walk exec' truncs (j + 1))
   in
-  walk (initialized sys inputs) [] 0
+  walk (Model.Exec.initialized sys inputs) [] 0
 
 (* A schedule may resume from the shared prefix only when its own prefix
    provably coincides with it: deterministic task order, crashes only, the
@@ -247,7 +240,7 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
     | _ -> None
   in
   match resume with
-  | None -> go (initialized sys inputs) 0
+  | None -> go (Model.Exec.initialized sys inputs) 0
   | Some (p, s) -> (
     match p.p_cut with
     | Some (`Violation (exec, v, monitor, reason, tr)) when s >= v ->

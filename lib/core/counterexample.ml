@@ -79,22 +79,13 @@ let pp_report ppf r =
       r.failed_set;
   Format.fprintf ppf "@,%a@]" pp_outcome r.outcome
 
-(* Build the execution consisting of the initialization with the given
-   inputs. *)
-let initialization_exec sys inputs =
-  let exec = Model.Exec.init (Model.System.initial_state sys) in
-  List.fold_left
-    (fun (exec, i) v -> Model.Exec.append_init sys exec i v, i + 1)
-    (exec, 0) inputs
-  |> fst
-
 (* Execution reaching a graph vertex: initialization followed by a BFS task
    path. *)
 let exec_to_vertex sys inputs analysis vertex =
   let g = Valence.graph analysis in
   match Graph.path_between g ~src:(Graph.root g) ~dst:vertex with
   | None -> None
-  | Some tasks -> Model.Exec.replay_tasks sys (initialization_exec sys inputs) tasks
+  | Some tasks -> Model.Exec.replay_tasks sys (Model.Exec.initialized sys inputs) tasks
 
 (* The survivors' decision predicate used as the fair run's goal. *)
 let survivor_decided in_j (s : Model.State.t) =
@@ -241,7 +232,7 @@ let refute ?(max_states = 200_000) ?(run_bound = 50_000) ~failures (sys : Model.
       in
       match blank with
       | Some e ->
-        let exec0 = initialization_exec sys e.Initialization.inputs in
+        let exec0 = Model.Exec.initialized sys e.Initialization.inputs in
         let exec, fo =
           Fair_run.run ~max_steps:run_bound ~goal:(survivor_decided (fun _ -> false)) sys
             exec0
@@ -278,7 +269,7 @@ let refute ?(max_states = 200_000) ?(run_bound = 50_000) ~failures (sys : Model.
             (* Build the two hook-endpoint executions. *)
             let base_exec =
               Model.Exec.replay_tasks sys
-                (initialization_exec sys entry.Initialization.inputs)
+                (Model.Exec.initialized sys entry.Initialization.inputs)
                 h.Hook.base_path
             in
             match base_exec with
@@ -376,8 +367,8 @@ let refute ?(max_states = 200_000) ?(run_bound = 50_000) ~failures (sys : Model.
               diff 0 a.Initialization.inputs b.Initialization.inputs
             in
             let j_set = choose_j ~n ~failures ~must_include:[ flip_index ] ~prefer:[] in
-            let exec0 = initialization_exec sys a.Initialization.inputs in
-            let exec1 = initialization_exec sys b.Initialization.inputs in
+            let exec0 = Model.Exec.initialized sys a.Initialization.inputs in
+            let exec1 = Model.Exec.initialized sys b.Initialization.inputs in
             let outcome =
               lemma67_construction sys ~exec0 ~exec1 ~j_set ~run_bound
                 ~v0:a.Initialization.verdict

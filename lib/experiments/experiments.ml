@@ -22,31 +22,26 @@ let row experiment label expected measured ok = { experiment; label; expected; m
 
 (* --- helpers --- *)
 
-let initialized sys inputs =
-  List.fold_left
-    (fun (exec, i) v -> Model.Exec.append_init sys exec i (Value.int v), i + 1)
-    (Model.Exec.init (Model.System.initial_state sys), 0)
-    inputs
-  |> fst
+let random_consensus_runs ~sys ~inputs ~seeds ~max_failures ~k =
+  List.filter_map
+    (fun seed ->
+      let exec0 = Model.Exec.initialized sys (List.map Value.int inputs) in
+      let sched = Model.Scheduler.random ~seed ~fail_prob:0.02 ~max_failures sys in
+      let exec, _ =
+        Model.Scheduler.run ~policy:Model.System.dummy_policy
+          ~stop_when:Model.Properties.termination ~max_steps:60_000 sys exec0 sched
+      in
+      let r = Model.Properties.check ~k (Model.Exec.last_state exec) in
+      if
+        r.Model.Properties.agreement && r.Model.Properties.validity
+        && r.Model.Properties.termination
+        && Model.Properties.per_process_agreement exec
+      then None
+      else Some (seed, r))
+    (List.init seeds Fun.id)
 
-let random_consensus_runs ?(policy = Model.System.dummy_policy) ~sys ~inputs ~seeds
-    ~max_failures ~k () =
-  let ok = ref 0 in
-  for seed = 0 to seeds - 1 do
-    let exec0 = initialized sys inputs in
-    let sched = Model.Scheduler.random ~seed ~fail_prob:0.02 ~max_failures sys in
-    let exec, _ =
-      Model.Scheduler.run ~policy ~stop_when:Model.Properties.termination ~max_steps:60_000
-        sys exec0 sched
-    in
-    let r = Model.Properties.check ~k (Model.Exec.last_state exec) in
-    if
-      r.Model.Properties.agreement && r.Model.Properties.validity
-      && r.Model.Properties.termination
-      && Model.Properties.per_process_agreement exec
-    then incr ok
-  done;
-  !ok
+(* How many of [seeds] randomized runs met the specification. *)
+let runs_ok ~seeds failing = seeds - List.length failing
 
 let outcome_summary (report : Engine.Counterexample.report) =
   Format.asprintf "%a" Engine.Counterexample.pp_outcome report.Engine.Counterexample.outcome
@@ -92,7 +87,8 @@ let e1_canonical_objects () =
   let axioms =
     let sys = Protocols.Direct.system ~n:3 ~f:2 in
     let ok =
-      random_consensus_runs ~sys ~inputs:[ 0; 1; 1 ] ~seeds:20 ~max_failures:2 ~k:1 ()
+      runs_ok ~seeds:20
+        (random_consensus_runs ~sys ~inputs:[ 0; 1; 1 ] ~seeds:20 ~max_failures:2 ~k:1)
     in
     row "E1" "canonical consensus object axioms (Thm 11)" "20/20 runs satisfy axioms"
       (Printf.sprintf "%d/20 runs ok" ok)
@@ -251,8 +247,9 @@ let e6_kset_boosting () =
       let n = groups * group_size in
       let sys = Protocols.Kset_boost.system ~groups ~group_size in
       let ok =
-        random_consensus_runs ~sys ~inputs:(List.init n Fun.id) ~seeds:20
-          ~max_failures:(n - 1) ~k:groups ()
+        runs_ok ~seeds:20
+          (random_consensus_runs ~sys ~inputs:(List.init n Fun.id) ~seeds:20
+             ~max_failures:(n - 1) ~k:groups)
       in
       row "E6"
         (Printf.sprintf "%d-set consensus, %d procs, ≤%d failures (§4)" groups n (n - 1))
@@ -353,8 +350,9 @@ let e9_fd_boosting () =
       (fun n ->
         let sys = Protocols.Fd_boost.system ~n in
         let ok =
-          random_consensus_runs ~sys ~inputs:(List.init n Fun.id) ~seeds:15
-            ~max_failures:(n - 1) ~k:1 ()
+          runs_ok ~seeds:15
+            (random_consensus_runs ~sys ~inputs:(List.init n Fun.id) ~seeds:15
+               ~max_failures:(n - 1) ~k:1)
         in
         row "E9"
           (Printf.sprintf "consensus n=%d from pairwise 1-resilient P (§6.3), ≤%d failures" n
@@ -432,7 +430,7 @@ let e13_universal () =
   in
   let ok = ref 0 in
   for seed = 0 to 14 do
-    let exec0 = initialized sys (List.init n Fun.id) in
+    let exec0 = Model.Exec.initialized sys (List.init n Value.int) in
     let sched = Model.Scheduler.random ~seed ~fail_prob:0.02 ~max_failures:(n - 1) sys in
     let exec, _ =
       Model.Scheduler.run ~policy:Model.System.dummy_policy

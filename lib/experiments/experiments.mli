@@ -12,8 +12,21 @@ type row = {
   ok : bool;
 }
 
-val pp_row : Format.formatter -> row -> unit
 val pp_table : Format.formatter -> row list -> unit
+
+val random_consensus_runs :
+  sys:Model.System.t ->
+  inputs:int list ->
+  seeds:int ->
+  max_failures:int ->
+  k:int ->
+  (int * Model.Properties.report) list
+(** Runs seeds [0 .. seeds-1] from the given inputs under
+    {!Model.Scheduler.random} (crash probability 0.02, at most
+    [max_failures] crashes) until termination or 60,000 steps, and returns
+    each seed whose run broke the specification — k-agreement, validity,
+    termination, or a process deciding twice — with its final report.
+    Empty means every run passed. *)
 
 val e1_canonical_objects : unit -> row list
 (** Fig. 1 / Thm. 11: canonical atomic objects satisfy their sequential types

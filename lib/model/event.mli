@@ -32,7 +32,6 @@ type t =
   | Heal of int list list  (** The matching partition healed. *)
 
 val equal : t -> t -> bool
-val pp_net_kind : Format.formatter -> net_kind -> unit
 val pp_blocks : Format.formatter -> int list list -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -71,6 +71,13 @@ let append_init sys t i v =
   let event, state = System.apply_init sys (last_state t) i v in
   push t (L_init (i, v)) event state
 
+let initialized sys inputs =
+  List.fold_left
+    (fun (t, i) v -> append_init sys t i v, i + 1)
+    (init (System.initial_state sys), 0)
+    inputs
+  |> fst
+
 let append_fail sys t i =
   let event, state = System.apply_fail sys (last_state t) i in
   push t (L_fail i) event state

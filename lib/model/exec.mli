@@ -37,6 +37,11 @@ val is_failure_free : t -> bool
 (** No [L_fail] label. *)
 
 val append_init : System.t -> t -> int -> Value.t -> t
+
+val initialized : System.t -> Value.t list -> t
+(** The initialization [init(v0)_0, init(v1)_1, ...] from the system's
+    initial state, one input per listed process. *)
+
 val append_fail : System.t -> t -> int -> t
 
 val append_net :

@@ -45,8 +45,6 @@ let endpoints_with_pending m =
    linearizable iff some configuration survives every window. *)
 type config = { pending : Value.t; inflight : Value.t; value : Value.t }
 
-let config_value c = c.value
-
 let config_key c = Value.list [ c.pending; c.inflight; c.value ]
 
 let init_configs (t : Spec.Seq_type.t) =

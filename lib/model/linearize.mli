@@ -49,9 +49,6 @@ val check : Spec.Seq_type.t -> event list -> bool
 type config
 (** An opaque search configuration. *)
 
-val config_value : config -> Value.t
-(** The object value component (diagnostics only). *)
-
 val init_configs : Spec.Seq_type.t -> config list
 (** One empty-queue configuration per initial value of the type. *)
 

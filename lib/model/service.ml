@@ -1,11 +1,5 @@
 type cls = Register | Atomic | Oblivious | General
 
-let pp_cls ppf = function
-  | Register -> Format.pp_print_string ppf "register"
-  | Atomic -> Format.pp_print_string ppf "atomic"
-  | Oblivious -> Format.pp_print_string ppf "failure-oblivious"
-  | General -> Format.pp_print_string ppf "general"
-
 type t = {
   id : string;
   endpoints : int array;

@@ -13,8 +13,6 @@ type cls =
   | Oblivious  (** Canonical f-resilient failure-oblivious service (Fig. 4). *)
   | General  (** Canonical f-resilient general service (Fig. 8). *)
 
-val pp_cls : Format.formatter -> cls -> unit
-
 type t = {
   id : string;  (** Unique service index [k] (or [r] for registers). *)
   endpoints : int array;  (** J, sorted ascending. *)

@@ -147,7 +147,6 @@ let all =
   ]
 
 let names = List.map (fun e -> e.name) all
-let sorted_names = List.sort String.compare names
 
 let find name = List.find_opt (fun e -> String.equal e.name name) all
 

@@ -33,9 +33,6 @@ val all : entry list
 
 val names : string list
 
-val sorted_names : string list
-(** [names] in alphabetical order — for error messages and stable listings. *)
-
 val find : string -> entry option
 
 val gaps : entry -> params -> Model.System.t -> Analysis.Guarantee.gap list

@@ -1,7 +1,5 @@
 include Set.Make (Int)
 
-let of_range lo hi = List.init (max 0 (hi - lo + 1)) (fun k -> lo + k) |> of_list
-
 let pp ppf s =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list

@@ -2,9 +2,6 @@
 
 include Set.S with type elt = int
 
-val of_range : int -> int -> t
-(** [of_range lo hi] is [{lo, ..., hi}] (empty if [hi < lo]). *)
-
 val pp : Format.formatter -> t -> unit
 val to_value : t -> Ioa.Value.t
 (** Canonical {!Ioa.Value} set encoding, for embedding into component states. *)

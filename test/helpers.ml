@@ -35,12 +35,7 @@ let qtest name ?(count = 200) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
 
 (* Build an initialized execution for a system. *)
-let initialized sys inputs =
-  List.fold_left
-    (fun (exec, i) v -> Model.Exec.append_init sys exec i v, i + 1)
-    (Model.Exec.init (Model.System.initial_state sys), 0)
-    inputs
-  |> fst
+let initialized = Model.Exec.initialized
 
 let int_inputs vs = List.map Value.int vs
 
