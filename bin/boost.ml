@@ -84,8 +84,23 @@ let params_term =
     const (fun n f groups group_size -> { Registry.n; f; groups; group_size })
     $ n $ f $ groups $ group_size)
 
+(* Where protocol and parameters meet: the protocol's own range beyond the
+   shared ones ([Registry.check_params]) is a usage error too. *)
+let with_params protocol =
+  let check e p = Result.map (fun () -> e, p) (Registry.check_params e p) in
+  Term.(term_result' ~usage:true (const check $ protocol $ params_term))
+
 let failures_arg =
   Arg.(value & opt int 1 & info [ "failures" ] ~docv:"K" ~doc:"Claimed resilience (= f + 1).")
+
+(* The claimed resilience K must satisfy 0 < K < n; its range depends on
+   the built system, so a bad K is the run's own usage error (exit 3). *)
+let failures_in_range sys failures =
+  let np = Model.System.n_processes sys in
+  let ok = 0 < failures && failures < np in
+  if not ok then
+    Format.eprintf "--failures %d: need 0 < K < %d (the process count)@." failures np;
+  ok
 
 let seeds_arg =
   Arg.(value & opt pos_int 20 & info [ "seeds" ] ~docv:"S" ~doc:"Random-run count.")
@@ -139,13 +154,9 @@ let max_states_arg =
 (* --- refute --- *)
 
 let refute_cmd =
-  let run protocol params failures max_states =
+  let run (protocol, params) failures max_states =
     let sys = protocol.Registry.build params in
-    let np = Model.System.n_processes sys in
-    if not (0 < failures && failures < np) then begin
-      Format.eprintf "--failures %d: need 0 < K < %d (the process count)@." failures np;
-      3
-    end
+    if not (failures_in_range sys failures) then 3
     else
       let report = Engine.Counterexample.refute ~max_states ~failures sys in
       Format.printf "%a@." Engine.Counterexample.pp_report report;
@@ -155,7 +166,7 @@ let refute_cmd =
       | Engine.Counterexample.Out_of_budget _ -> 2
   in
   let term =
-    Term.(const run $ protocol_arg $ params_term $ failures_arg $ max_states_arg)
+    Term.(const run $ with_params protocol_arg $ failures_arg $ max_states_arg)
   in
   Cmd.v
     (Cmd.info "refute"
@@ -167,13 +178,13 @@ let refute_cmd =
 (* --- staircase --- *)
 
 let staircase_cmd =
-  let run protocol params =
+  let run (protocol, params) =
     List.iter
       (fun e -> Format.printf "%a@." Engine.Initialization.pp_entry e)
       (Engine.Initialization.staircase (protocol.Registry.build params));
     0
   in
-  let term = Term.(const run $ protocol_arg $ params_term) in
+  let term = Term.(const run $ with_params protocol_arg) in
   Cmd.v
     (Cmd.info "staircase" ~doc:"Print the Lemma 4 staircase of initializations with valences.")
     term
@@ -181,7 +192,7 @@ let staircase_cmd =
 (* --- explore --- *)
 
 let explore_cmd =
-  let run protocol params max_states =
+  let run (protocol, params) max_states =
     let sys = protocol.Registry.build params in
     let inputs =
       List.init (Model.System.n_processes sys) (fun i -> Ioa.Value.int (i mod 2))
@@ -197,13 +208,13 @@ let explore_cmd =
       Engine.Valence.[ Zero_valent; One_valent; Bivalent; Blank ];
     0
   in
-  let term = Term.(const run $ protocol_arg $ params_term $ max_states_arg) in
+  let term = Term.(const run $ with_params protocol_arg $ max_states_arg) in
   Cmd.v (Cmd.info "explore" ~doc:"Materialize G(C) and print the valence census.") term
 
 (* --- run (positive protocols) --- *)
 
 let run_cmd =
-  let run protocol params seeds =
+  let run (protocol, params) seeds =
     let sys = protocol.Registry.build params in
     let np = Model.System.n_processes sys in
     let failing =
@@ -217,7 +228,7 @@ let run_cmd =
       (seeds - List.length failing) seeds;
     if failing = [] then 0 else 1
   in
-  let term = Term.(const run $ protocol_arg $ params_term $ seeds_arg) in
+  let term = Term.(const run $ with_params protocol_arg $ seeds_arg) in
   Cmd.v
     (Cmd.info "run"
        ~doc:
@@ -228,38 +239,41 @@ let run_cmd =
 (* --- lemmas --- *)
 
 let lemmas_cmd =
-  let run protocol params failures =
+  let run (protocol, params) failures =
     let sys = protocol.Registry.build params in
-    let analyses =
-      List.map
-        (fun (e : Engine.Initialization.entry) -> e.Engine.Initialization.analysis)
-        (Engine.Initialization.staircase sys)
-    in
-    let report name failures_list =
-      Format.printf "%-48s %s@." name
-        (if failures_list = [] then "holds"
-         else Printf.sprintf "%d counterexample(s)" (List.length failures_list));
-      List.iteri
-        (fun i fl -> if i < 3 then Format.printf "    %a@." Engine.Lemma_check.pp_failure fl)
-        failures_list
-    in
-    List.iter (fun a -> report "Lemma 1 (applicability persistence)" (Engine.Lemma_check.lemma1_applicability a)) analyses;
-    List.iter (fun a -> report "Lemma 3 (valence dichotomy)" (Engine.Lemma_check.lemma3_dichotomy a)) analyses;
-    report "Lemma 6 consequence (j-similar univalent states)"
-      (Engine.Lemma_check.lemma6_j_similarity sys analyses);
-    report
-      (Printf.sprintf "Lemma 7 consequence (k-similar, %d failures)" failures)
-      (Engine.Lemma_check.lemma7_k_similarity ~failures sys analyses);
-    List.iter (fun a -> report "valence: SCC vs naive oracle" (Engine.Lemma_check.scc_vs_naive a)) analyses;
-    0
+    if not (failures_in_range sys failures) then 3
+    else begin
+      let analyses =
+        List.map
+          (fun (e : Engine.Initialization.entry) -> e.Engine.Initialization.analysis)
+          (Engine.Initialization.staircase sys)
+      in
+      let report name failures_list =
+        Format.printf "%-48s %s@." name
+          (if failures_list = [] then "holds"
+           else Printf.sprintf "%d counterexample(s)" (List.length failures_list));
+        List.iteri
+          (fun i fl -> if i < 3 then Format.printf "    %a@." Engine.Lemma_check.pp_failure fl)
+          failures_list
+      in
+      List.iter (fun a -> report "Lemma 1 (applicability persistence)" (Engine.Lemma_check.lemma1_applicability a)) analyses;
+      List.iter (fun a -> report "Lemma 3 (valence dichotomy)" (Engine.Lemma_check.lemma3_dichotomy a)) analyses;
+      report "Lemma 6 consequence (j-similar univalent states)"
+        (Engine.Lemma_check.lemma6_j_similarity sys analyses);
+      report
+        (Printf.sprintf "Lemma 7 consequence (k-similar, %d failures)" failures)
+        (Engine.Lemma_check.lemma7_k_similarity ~failures sys analyses);
+      List.iter (fun a -> report "valence: SCC vs naive oracle" (Engine.Lemma_check.scc_vs_naive a)) analyses;
+      0
+    end
   in
-  let term = Term.(const run $ protocol_arg $ params_term $ failures_arg) in
+  let term = Term.(const run $ with_params protocol_arg $ failures_arg) in
   Cmd.v
     (Cmd.info "lemmas"
        ~doc:
          "Check the paper's lemmas exhaustively over the protocol's staircase graphs. \
           Lemmas 1/3 must always hold; Lemma 6/7 counterexamples on a candidate are the \
-          refutation levers.")
+          refutation levers. Exits 3 unless 0 < K < N for --failures K.")
     term
 
 (* --- chaos --- *)
@@ -272,7 +286,8 @@ let fd_network =
   {
     Registry.name = "fd-network";
     doc = "an n-process perfect failure detector from pairwise perfect detectors";
-    build = (fun p -> Protocols.Fd_network.system ~n:(max p.Registry.n 2));
+    build = (fun p -> Protocols.Fd_network.system ~n:p.Registry.n);
+    min_n = 2;
     k_of = (fun _ -> 1);
     claims = (fun _ -> Analysis.Guarantee.no_claim);
   }
@@ -486,7 +501,7 @@ let chaos_cmd =
              $(b,--witness-out) appends the vector trajectory as '#' comment lines. \
              Off by default; crash-only reports are byte-identical without it.")
   in
-  let run protocol params faults max_faults seed runs max_steps horizon budget stride jobs
+  let run (protocol, params) faults max_faults seed runs max_steps horizon budget stride jobs
       dedup shrink static_prune por prune_stats_out schedule timeout witness_out degrade =
     let sys = protocol.Registry.build params in
     let monitors = chaos_monitors protocol ~degrade in
@@ -641,7 +656,7 @@ let chaos_cmd =
   in
   let term =
     Term.(
-      const run $ protocol_arg $ params_term $ faults_arg $ max_faults_arg $ seed_arg
+      const run $ with_params protocol_arg $ faults_arg $ max_faults_arg $ seed_arg
       $ runs_arg $ max_steps_arg $ horizon_arg $ budget_arg $ stride_arg $ jobs_arg
       $ dedup_arg $ shrink_arg $ static_prune_arg $ por_arg $ prune_stats_out_arg
       $ schedule_arg $ timeout_arg $ witness_out_arg $ degrade_arg)
@@ -806,7 +821,7 @@ let serve_cmd =
             "On a shot violation, write the minimized (or, without shrinking, the \
              original) shot schedule to FILE in $(b,--schedule) syntax.")
   in
-  let run (protocol : Registry.entry) params obj clients ops rate batch pipeline
+  let run ((protocol : Registry.entry), params) obj clients ops rate batch pipeline
       retry_timeout rejoin_after catch_up_rate faults max_faults schedule seed max_ticks
       shot_max_steps lin_max_nodes pin_oracle shrink witness_out =
     let ( let* ) = Result.bind in
@@ -887,7 +902,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ protocol_arg $ params_term $ obj_arg $ clients_arg $ ops_arg $ rate_arg
+      const run $ with_params protocol_arg $ obj_arg $ clients_arg $ ops_arg $ rate_arg
       $ batch_arg $ pipeline_arg $ retry_timeout_arg $ rejoin_after_arg $ catch_up_rate_arg
       $ faults_arg $ max_faults_arg $ schedule_arg $ seed_arg $ max_ticks_arg
       $ shot_max_steps_arg $ lin_max_nodes_arg $ pin_oracle_arg $ shrink_arg
@@ -923,16 +938,16 @@ let lint_cmd =
               "Lint every registry protocol with its default parameters; exit non-zero if \
                any has findings.")
     in
-    let select all protocol =
+    let select all protocol params =
       match all, protocol with
-      | true, None -> Ok All
-      | false, Some e -> Ok (One e)
+      | true, None -> Ok (All, params)
+      | false, Some e -> Result.map (fun () -> One e, params) (Registry.check_params e params)
       | true, Some _ -> Error "--all takes no PROTOCOL argument"
       | false, None -> Error "need a PROTOCOL argument or --all"
     in
     Term.(
       term_result' ~usage:true
-        (const select $ all_arg $ protocol_opt ~doc:protocol_doc ()))
+        (const select $ all_arg $ protocol_opt ~doc:protocol_doc () $ params_term))
   in
   let max_faults_arg =
     Arg.(
@@ -976,7 +991,7 @@ let lint_cmd =
             "With --param: re-lint every certified point fresh (cache-less, concrete) \
              and compare byte-for-byte; exit 1 listing any disagreeing points.")
   in
-  let run selection params max_faults json jobs param validate cache_dir cache_stats =
+  let run (selection, params) max_faults json jobs param validate cache_dir cache_stats =
     let cache = Option.map (fun dir -> Analysis.Cache.open_ ~dir) cache_dir in
     let emit_human (r : Registry.lint_result) = print_string r.Registry.human in
     let entries = match selection with All -> Array.of_list Registry.all | One e -> [| e |] in
@@ -1065,7 +1080,7 @@ let lint_cmd =
   in
   let term =
     Term.(
-      const run $ selection $ params_term $ max_faults_arg $ json_arg $ jobs_arg $ param_arg
+      const run $ selection $ max_faults_arg $ json_arg $ jobs_arg $ param_arg
       $ validate_arg $ cache_dir_arg $ cache_stats_arg)
   in
   Cmd.v

@@ -6,6 +6,7 @@ type entry = {
   name : string;
   doc : string;
   build : params -> Model.System.t;
+  min_n : int;
   k_of : params -> int;
   claims : params -> Analysis.Guarantee.claim;
 }
@@ -32,6 +33,7 @@ let all =
       name = "direct";
       doc = "n clients on one f-resilient atomic consensus service";
       build = (fun p -> Direct.system ~n:p.n ~f:p.f);
+      min_n = 1;
       k_of = one;
       claims = (fun p -> consensus ~termination:(Analysis.Guarantee.Crashes p.f) () p);
     };
@@ -39,6 +41,7 @@ let all =
       name = "split";
       doc = "per-process 0-resilient consensus services";
       build = (fun p -> Split.system ~n:p.n);
+      min_n = 1;
       k_of = one;
       claims = (fun _ ->
           (* Per-process services claim nothing across processes: no
@@ -51,6 +54,7 @@ let all =
       name = "register-vote";
       doc = "2 processes voting through wait-free registers";
       build = (fun _ -> Register_vote.system ());
+      min_n = 1;
       k_of = one;
       claims = consensus ~termination:(Analysis.Guarantee.Crashes 1) ();
     };
@@ -58,6 +62,7 @@ let all =
       name = "register-wait";
       doc = "2 processes on wait-free registers, flawed resilience claim";
       build = (fun _ -> Register_wait.system ());
+      min_n = 1;
       k_of = one;
       claims = (* The flawed resilience claim is a protocol-logic bug, not a typing
          gap: wait-free registers do support termination under one crash. *)
@@ -67,6 +72,7 @@ let all =
       name = "tob";
       doc = "n clients on an f-resilient total-order broadcast service";
       build = (fun p -> Tob_direct.system ~n:p.n ~f:p.f);
+      min_n = 1;
       k_of = one;
       claims = (fun p ->
           (* The Thm 9 boost: f+1-resilient consensus from an f-resilient
@@ -78,6 +84,7 @@ let all =
       name = "fd-all";
       doc = "consensus from an all-connected failure detector";
       build = (fun p -> Fd_allconnected.system ~n:p.n ~f:p.f);
+      min_n = 1;
       k_of = one;
       claims = (fun p -> consensus ~termination:(Analysis.Guarantee.Crashes p.f) () p);
     };
@@ -85,6 +92,7 @@ let all =
       name = "kset";
       doc = "k-set agreement from per-group consensus services";
       build = (fun p -> Kset_boost.system ~groups:p.groups ~group_size:p.group_size);
+      min_n = 1;
       k_of = (fun p -> p.groups);
       claims = (fun p ->
           (* The chaos battery holds every registry protocol to full
@@ -96,6 +104,7 @@ let all =
       name = "fd-boost";
       doc = "boosting attempt through a failure-detector service";
       build = (fun p -> Fd_boost.system ~n:p.n);
+      min_n = 2;
       k_of = one;
       claims = (* §6.3's positive result at n = 2, claimed for all n — Thm 10's
          connectivity hypothesis fails at the n = 3 probe. *)
@@ -105,6 +114,7 @@ let all =
       name = "tas";
       doc = "consensus from f-resilient test-and-set";
       build = (fun p -> Tas_consensus.system ~f:p.f);
+      min_n = 1;
       k_of = one;
       claims = (fun p -> consensus ~termination:(Analysis.Guarantee.Crashes p.f) () p);
     };
@@ -112,6 +122,7 @@ let all =
       name = "queue";
       doc = "consensus from an f-resilient shared queue";
       build = (fun p -> Queue_consensus.system ~f:p.f);
+      min_n = 1;
       k_of = one;
       claims = (fun p -> consensus ~termination:(Analysis.Guarantee.Crashes p.f) () p);
     };
@@ -119,6 +130,7 @@ let all =
       name = "mp-all";
       doc = "message-passing consensus, all-to-all delivery";
       build = (fun p -> Mp_consensus.all_system ~n:p.n);
+      min_n = 1;
       k_of = one;
       claims = consensus ~lin:false ~termination:(Analysis.Guarantee.Crashes 0) ();
     };
@@ -126,6 +138,7 @@ let all =
       name = "mp-quorum";
       doc = "message-passing consensus, quorum delivery";
       build = (fun p -> Mp_consensus.quorum_system ~n:p.n);
+      min_n = 1;
       k_of = one;
       claims = consensus ~lin:false ~termination:(Analysis.Guarantee.Crashes 1) ();
     };
@@ -136,6 +149,7 @@ let all =
         (fun p ->
           Universal.system ~obj:(Spec.Seq_counter.make ())
             ~ops:(List.init p.n (fun _ -> Spec.Seq_counter.increment)));
+      min_n = 1;
       k_of = one;
       claims = (fun _ ->
           (* Decides counter responses, not proposed inputs: linearizability
@@ -149,6 +163,11 @@ let all =
 let names = List.map (fun e -> e.name) all
 
 let find name = List.find_opt (fun e -> String.equal e.name name) all
+
+let check_params (e : entry) (p : params) =
+  if p.n < e.min_n then
+    Error (Printf.sprintf "%s needs at least %d processes, got -n %d" e.name e.min_n p.n)
+  else Ok ()
 
 (* --- the guarantee-gap pass ---
 

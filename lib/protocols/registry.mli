@@ -20,6 +20,9 @@ type entry = {
   name : string;  (** CLI name, e.g. ["register-wait"]. *)
   doc : string;
   build : params -> Model.System.t;
+  min_n : int;
+      (** The smallest [n] [build] accepts; the shared {!params} ranges
+          cover everything else. *)
   k_of : params -> int;  (** Agreement width (1 except for k-set). *)
   claims : params -> Analysis.Guarantee.claim;
       (** What the protocol is held to by the chaos battery, for the static
@@ -34,6 +37,11 @@ val all : entry list
 val names : string list
 
 val find : string -> entry option
+
+val check_params : entry -> params -> (unit, string) result
+(** Whether [build] accepts the parameters beyond their shared ranges
+    (n ≥ 1, f ≥ 0, groups and group size ≥ 1): [Error] names the protocol's
+    own bound. *)
 
 val gaps : entry -> params -> Model.System.t -> Analysis.Guarantee.gap list
 (** The guarantee-gap pass behind [boost lint]: the registered claim against

@@ -642,6 +642,8 @@ let run cfg =
   | _ -> ());
   st.report.Report.lin <- Linear_inc.verdict st.lin;
   st.report.Report.lin_windows <- Linear_inc.windows st.lin;
+  st.report.Report.lin_certified <- Linear_inc.certified st.lin;
+  st.report.Report.lin_searched <- Linear_inc.searched st.lin;
   st.report.Report.lin_events <- Linear_inc.events st.lin;
   st.report.Report.lin_max_window <- Linear_inc.max_window st.lin;
   st.report.Report.lin_max_frontier <- Linear_inc.max_frontier st.lin;

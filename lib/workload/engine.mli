@@ -19,7 +19,15 @@
     backoff with idempotent resubmission; replicas' (client, seq) tables make
     application exactly-once, re-checked independently at end of run. The
     whole client-visible history feeds the incremental linearizability
-    monitor ({!Linear_inc}). Safety violations inside a shot abort the run
+    monitor ({!Linear_inc}). Responses reach clients in commit-log order:
+    each batch's responses are queued in log order and recorded as [Return]s
+    at the next tick in that order, and the second delivery of a duplicate
+    commit is stale, so it records none. The monitor relies on this: its
+    linear-time certificate linearizes each operation at its [Return], so
+    on this engine the return order {e is} the commit order and no window
+    needs the exhaustive search (a reordering would stay correct, through
+    the search fallback, but lose the speed; the tests pin [searched 0]).
+    Safety violations inside a shot abort the run
     and are minimized through {!Chaos.Shrink} to a 1-minimal witness;
     in-shot liveness misses are treated as stalls and absorbed by retry.
 

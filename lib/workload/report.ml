@@ -54,6 +54,8 @@ type t = {
   (* incremental linearizability *)
   mutable lin : Linear_inc.verdict;
   mutable lin_windows : int;
+  mutable lin_certified : int;
+  mutable lin_searched : int;
   mutable lin_events : int;
   mutable lin_max_window : int;
   mutable lin_max_frontier : int;
@@ -96,6 +98,8 @@ let create ~proto ~n ~f ~obj_name ~clients ~ops ~seed =
     latencies = [];
     lin = Linear_inc.Ok;
     lin_windows = 0;
+    lin_certified = 0;
+    lin_searched = 0;
     lin_events = 0;
     lin_max_window = 0;
     lin_max_frontier = 0;
@@ -176,8 +180,9 @@ let render t =
   Format.fprintf ppf "latency (ticks): p50 %d p95 %d p99 %d max %d@." p50 p95 p99 lmax;
   (match t.lin with
   | Linear_inc.Ok ->
-    Format.fprintf ppf "lin-monitor: ok — %d windows, %d events, max window %d, max frontier %d@."
-      t.lin_windows t.lin_events t.lin_max_window t.lin_max_frontier
+    Format.fprintf ppf
+      "lin-monitor: ok — %d windows (certified %d, searched %d), %d events, max window %d@."
+      t.lin_windows t.lin_certified t.lin_searched t.lin_events t.lin_max_window
   | Linear_inc.Violation r -> Format.fprintf ppf "lin-monitor: VIOLATION — %s@." r
   | Linear_inc.Truncated r -> Format.fprintf ppf "lin-monitor: truncated — %s@." r);
   (match t.oracle_pinned with

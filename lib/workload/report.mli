@@ -53,6 +53,8 @@ type t = {
   mutable latencies : int list;
   mutable lin : Linear_inc.verdict;
   mutable lin_windows : int;
+  mutable lin_certified : int;
+  mutable lin_searched : int;
   mutable lin_events : int;
   mutable lin_max_window : int;
   mutable lin_max_frontier : int;
