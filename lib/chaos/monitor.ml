@@ -376,15 +376,18 @@ let check_phase monitors ~phase ?event sys exec =
     m.phase = phase
     && match phase, event with Step, Some e -> m.relevant e | _ -> true
   in
-  List.fold_left
-    (fun (fail, truncs) m ->
-      if not (applicable m) then fail, truncs
-      else
-        match fail with
-        | Some _ -> fail, truncs
-        | None -> (
-          match m.check sys exec with
-          | Pass -> fail, truncs
-          | Fail why -> Some (m.name, why), truncs
-          | Truncated (cat, why) -> fail, truncs @ [ m.name, cat, why ]))
-    (None, []) monitors
+  let fail, truncs =
+    List.fold_left
+      (fun (fail, truncs) m ->
+        if not (applicable m) then fail, truncs
+        else
+          match fail with
+          | Some _ -> fail, truncs
+          | None -> (
+            match m.check sys exec with
+            | Pass -> fail, truncs
+            | Fail why -> Some (m.name, why), truncs
+            | Truncated (cat, why) -> fail, (m.name, cat, why) :: truncs))
+      (None, []) monitors
+  in
+  fail, List.rev truncs

@@ -72,9 +72,12 @@ val f_termination_degraded : t
 
 val linearizability : ?max_history:int -> ?degrade:bool -> unit -> t
 (** Every service retaining a sequential spec ({!Model.Service.t}[.seq])
-    has a linearizable history ({!Model.Linearize}). Histories longer than
-    [max_history] (default 240 events) yield {!Truncated} with category
-    [Monitor_budget]; runs with buffer-mutating network faults
+    has a linearizable history ({!Model.Linearize.check}: the return-order
+    certificate, and the exponential search only where it fails). Histories
+    longer than [max_history] (default 240 events) yield {!Truncated} with
+    category [Monitor_budget], certified or not: the bound guards the
+    search, and holding every history to it keeps the verdicts independent
+    of the certificate. Runs with buffer-mutating network faults
     (drop/dup/delay) yield {!Truncated} with category [Adversary], their
     histories no longer reflecting what the service did. With [degrade],
     only the mutated services are skipped (reported as an [Adversary]

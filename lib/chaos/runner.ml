@@ -50,7 +50,7 @@ let default_inputs sys =
 type prefix = {
   p_snaps : (Model.Exec.t * (string * Monitor.category * string) list) array;
       (** [p_snaps.(k)]: the execution after [k] fault-free steps, with the
-          monitor truncations accumulated so far. *)
+          monitor truncations accumulated so far, newest first. *)
   p_filled : int;  (** Snapshots [0..p_filled] are valid. *)
   p_cut :
     [ `Violation of
@@ -86,7 +86,7 @@ let prefix ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ~steps
           | [] -> assert false
         in
         let fail, t = Monitor.check_phase monitors ~phase:Monitor.Step ~event sys exec' in
-        let truncs = truncs @ t in
+        let truncs = List.rev_append t truncs in
         match fail with
         | Some (monitor, reason) ->
           {
@@ -120,14 +120,14 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
   in
   let cursor = ref 0 in
   let seen = Tbl.create 256 in
-  let truncs = ref [] in
+  let truncs = ref [] in  (* newest first, reversed once by [finish] *)
   let vacuous = ref 0 in
   let finish exec steps stop =
     {
       exec;
       steps;
       stop;
-      monitor_truncations = !truncs;
+      monitor_truncations = List.rev !truncs;
       undelivered_crashes = Schedule.undelivered compiled;
       undelivered_net = Schedule.undelivered_net compiled;
       vacuous_net_faults = !vacuous;
@@ -138,7 +138,7 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
      budget. *)
   let ended exec steps ~proven pass =
     let fail, t = Monitor.check_phase monitors ~phase:Monitor.End sys exec in
-    truncs := !truncs @ t;
+    truncs := List.rev_append t !truncs;
     match fail with
     | Some (monitor, reason) -> finish exec steps (Violation { monitor; reason; proven })
     | None -> finish exec steps pass
@@ -221,7 +221,7 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
             let fail, t =
               Monitor.check_phase monitors ~phase:Monitor.Step ~event sys exec'
             in
-            truncs := !truncs @ t;
+            truncs := List.rev_append t !truncs;
             match fail with
             | Some (monitor, reason) ->
               (* A safety violation is witnessed by the prefix itself. *)

@@ -57,7 +57,7 @@ let advance ?(max_nodes = 200_000) (t : Spec.Seq_type.t) configs events =
   let n = Array.length events in
   let nodes = ref 0 in
   let out = Value.Tbl.create 64 in
-  let visited = Value.Tbl.create 1024 in
+  let visited = Value.Tbl.create 64 in
   let overflow = ref false in
   (* Exhaustive DFS (no short-circuit: every accepting end configuration is
      collected — dropping one would make a later window's failure
@@ -100,10 +100,10 @@ let advance ?(max_nodes = 200_000) (t : Spec.Seq_type.t) configs events =
   if !overflow then None
   else Some (Value.Tbl.fold (fun _ c acc -> c :: acc) out [])
 
-let check (t : Spec.Seq_type.t) events =
+let search (t : Spec.Seq_type.t) events =
   let events = Array.of_list events in
   let n = Array.length events in
-  let visited = Value.Tbl.create 1024 in
+  let visited = Value.Tbl.create 64 in
   (* DFS over (idx, pending, inflight, value); returns true iff some
      completion linearizes the suffix from this configuration. *)
   let rec go idx pending inflight value =
@@ -143,3 +143,39 @@ let check (t : Spec.Seq_type.t) events =
   List.exists
     (fun v0 -> go 0 Value.map_empty Value.map_empty v0)
     t.Spec.Seq_type.initials
+
+(* --- the return-order certificate --- *)
+
+(* Every operation takes effect at its own Return, as its endpoint's oldest
+   unreturned call, applied by δ to one replay value. Calls that never
+   return never take effect. *)
+type cert = {
+  obj : Spec.Seq_type.t;
+  calls : (int, Value.t Queue.t) Hashtbl.t;  (* per endpoint, oldest first *)
+  mutable value : Value.t;
+}
+
+let cert (t : Spec.Seq_type.t) =
+  { obj = t; calls = Hashtbl.create 16; value = List.hd t.Spec.Seq_type.initials }
+
+let certify c = function
+  | Call { endpoint; op } ->
+    (match Hashtbl.find_opt c.calls endpoint with
+    | Some q -> Queue.push op q
+    | None ->
+      let q = Queue.create () in
+      Queue.push op q;
+      Hashtbl.add c.calls endpoint q);
+    true
+  | Return { endpoint; resp } -> (
+    match Option.bind (Hashtbl.find_opt c.calls endpoint) Queue.take_opt with
+    | None -> false
+    | Some op -> (
+      let outcomes = c.obj.Spec.Seq_type.delta op c.value in
+      match List.find_opt (fun (r, _) -> Value.equal r resp) outcomes with
+      | Some (_, value) ->
+        c.value <- value;
+        true
+      | None -> false))
+
+let check t events = List.for_all (certify (cert t)) events || search t events

@@ -78,6 +78,7 @@ let eligible (entry : Protocols.Registry.entry) params =
 type state = {
   cfg : config;
   sys : Model.System.t;  (* the shot system, built once and reused *)
+  monitors : Chaos.Monitor.t list;  (* the shot monitors, likewise *)
   obj : Spec.Seq_type.t;
   n : int;
   n_tasks : int;
@@ -351,9 +352,9 @@ type shot_outcome =
   | Shot_violated of Chaos.Explore.violation * Value.t list
 
 let run_shot st ~schedule ~inputs ~c0 ~c1 =
-  let monitors = Chaos.Monitor.defaults () in
   let result =
-    Chaos.Runner.run ~monitors ~max_steps:st.cfg.shot_max_steps ~inputs ~schedule st.sys
+    Chaos.Runner.run ~monitors:st.monitors ~max_steps:st.cfg.shot_max_steps ~inputs
+      ~schedule st.sys
   in
   st.report.Report.shots <- st.report.Report.shots + 1;
   let committed_or_stalled exec =
@@ -463,7 +464,7 @@ let shots st ~tick =
         let minimized, stats =
           if st.cfg.shrink then
             let v, stats =
-              Chaos.Shrink.shrink ~monitors:(Chaos.Monitor.defaults ())
+              Chaos.Shrink.shrink ~monitors:st.monitors
                 ~max_steps:st.cfg.shot_max_steps ~inputs:vinputs st.sys violation
             in
             Chaos.Schedule.to_string v.Chaos.Explore.schedule, stats
@@ -517,7 +518,7 @@ let final_checks st =
       st.report.Report.outcome <- Report.Lin_violation reason
   | Linear_inc.Ok | Linear_inc.Truncated _ -> ());
   if st.cfg.pin_oracle then begin
-    let oracle = L.check st.obj (List.rev st.full_history) in
+    let oracle = L.search st.obj (List.rev st.full_history) in
     let incremental = Linear_inc.verdict st.lin = Linear_inc.Ok in
     st.report.Report.oracle_pinned <- Some (oracle = incremental)
   end;
@@ -577,6 +578,7 @@ let run cfg =
     {
       cfg;
       sys;
+      monitors = Chaos.Monitor.defaults ();
       obj;
       n;
       n_tasks = Array.length sys.Model.System.tasks;

@@ -1,22 +1,13 @@
 module L = Model.Linearize
-module Value = Ioa.Value
 
 type verdict = Ok | Violation of string | Truncated of string
-
-(* The return-order certificate: every operation takes effect at its own
-   Return, as its endpoint's oldest unreturned call, applied by δ to one
-   replay value. Calls that never return never take effect. *)
-type cert = {
-  calls : (int, Value.t Queue.t) Hashtbl.t;  (* per endpoint, oldest first *)
-  mutable value : Value.t;
-}
 
 type t = {
   obj : Spec.Seq_type.t;
   max_nodes : int;
   soft_outstanding : int;
   hard_buffer : int;
-  mutable cert : cert option;  (* [None] once the certificate has failed *)
+  mutable cert : L.cert option;  (* [None] once the certificate has failed *)
   mutable retained : L.event array list;  (* certified windows, newest first *)
   mutable frontier : L.config list;  (* the search's, live after a fallback *)
   mutable buffer : L.event list;  (* newest first *)
@@ -38,7 +29,7 @@ let create ?(max_nodes = 200_000) ?(soft_outstanding = 4) ?(hard_buffer = 2048) 
     max_nodes;
     soft_outstanding;
     hard_buffer;
-    cert = Some { calls = Hashtbl.create 16; value = List.hd obj.Spec.Seq_type.initials };
+    cert = Some (L.cert obj);
     retained = [];
     frontier;
     buffer = [];
@@ -71,34 +62,6 @@ let record t ev =
     | L.Call _ -> t.outstanding <- t.outstanding + 1
     | L.Return _ -> t.outstanding <- t.outstanding - 1)
   end
-
-(* Extend the certificate over one window; [false] at its first event that
-   the return order cannot explain. *)
-let certify obj c window =
-  let calls endpoint =
-    match Hashtbl.find_opt c.calls endpoint with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.add c.calls endpoint q;
-      q
-  in
-  Array.for_all
-    (function
-      | L.Call { endpoint; op } ->
-        Queue.push op (calls endpoint);
-        true
-      | L.Return { endpoint; resp } -> (
-        match Queue.take_opt (calls endpoint) with
-        | None -> false
-        | Some op -> (
-          let outcomes = obj.Spec.Seq_type.delta op c.value in
-          match List.find_opt (fun (r, _) -> Value.equal r resp) outcomes with
-          | Some (_, value) ->
-            c.value <- value;
-            true
-          | None -> false)))
-    window
 
 (* Window [number], ending at event [through], through the exhaustive search
    from the current frontier. *)
@@ -146,7 +109,7 @@ let flush t =
     t.windows <- t.windows + 1;
     t.max_window <- max t.max_window size;
     match t.cert with
-    | Some c when certify t.obj c window ->
+    | Some c when Array.for_all (L.certify c) window ->
       t.certified <- t.certified + 1;
       t.retained <- window :: t.retained
     | cert ->

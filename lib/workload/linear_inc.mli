@@ -1,19 +1,16 @@
 (** Incremental (windowed) linearizability checking for long histories.
 
-    The full {!Model.Linearize.check} oracle re-searches the entire history;
-    at workload scale (millions of events) that is unusable. This monitor
-    consumes the history one event at a time and checks it window by window,
-    certificate first and search second.
+    {!Model.Linearize.check} takes the whole history at once, and its search
+    fallback re-searches all of it; at workload scale (millions of events)
+    that is unusable. This monitor consumes the history one event at a time
+    and checks it window by window, certificate first and search second.
 
-    {b Certificate.} Each operation is linearized at its own [Return]: it is
-    its endpoint's oldest unreturned call, applied through the type's δ from
-    one replay value that starts at the first initial value (the first δ
-    outcome with the returned response, if δ is nondeterministic). Calls that
-    never return never take effect. Every point lies inside its operation's
-    interval and per-endpoint order is FIFO, so a replay that reproduces
-    every response proves the history linearizable (Herlihy & Wing): the
-    check is linear in the window and runs no search. The engine delivers
-    responses in commit-log order, so on its histories the certificate holds.
+    {b Certificate.} Each window is first run through the shared
+    return-order certificate, {!Model.Linearize.certify}, which carries its
+    state across windows: each operation is linearized at its own [Return]
+    and δ is replayed once, so the check is linear in the window and runs
+    no search. The engine delivers responses in commit-log order, so on its
+    histories the certificate holds.
 
     {b Fallback.} A certificate is sound, not complete: a history can be
     linearizable although its return order is no witness. At the first window

@@ -1,7 +1,7 @@
 (* The multi-shot RSM workload engine (ISSUE 10). The load-bearing pins:
 
    1. the incremental linearizability monitor is a differential twin of the
-      monolithic Model.Linearize oracle on random small histories with
+      exhaustive Model.Linearize.search oracle on random small histories with
       random window boundaries — the window invariant says any partition
       into windows is exact, so the verdicts must coincide event-for-event
       — and the histories reach both its return-order certificate and the
@@ -97,7 +97,7 @@ let qcheck_inc_vs_oracle =
         | LI.Violation _ -> Some false
         | LI.Truncated _ -> None (* must not happen at this size *)
       in
-      incremental = Some (L.check counter (List.map fst events))
+      incremental = Some (L.search counter (List.map fst events))
       && LI.certified t + LI.searched t = LI.windows t)
 
 (* The generator above must reach every monitor path, or the differential
@@ -172,7 +172,7 @@ let test_golden_fallback () =
   | LI.Violation m | LI.Truncated m -> Alcotest.failf "rejected: %s" m);
   Alcotest.(check (pair int int)) "(certified, searched)" (1, 1)
     (LI.certified t, LI.searched t);
-  Alcotest.(check bool) "the oracle agrees" true (L.check counter (window1 @ window2))
+  Alcotest.(check bool) "the oracle agrees" true (L.search counter (window1 @ window2))
 
 (* The hard-buffer flush: a call that never returns keeps the outstanding
    count above [soft_outstanding] = 0 for the whole run, so only the
@@ -198,7 +198,7 @@ let test_hard_buffer_flush () =
       let n = List.length history in
       Alcotest.(check int) (name ^ ": every tick flush hit the cap") (n / 4) flushed_by_cap;
       Alcotest.(check int) (name ^ ": max window is the cap") 4 (LI.max_window t);
-      Alcotest.(check bool) (name ^ ": verdict is the oracle's") (L.check counter history)
+      Alcotest.(check bool) (name ^ ": verdict is the oracle's") (L.search counter history)
         (verdict = LI.Ok);
       Alcotest.(check bool) (name ^ ": monitor path") searched (LI.searched t > 0))
     [ "certified", [], false; "fallback", crossed, true ]
