@@ -16,8 +16,6 @@
    half-written entry. Cache failures of any kind degrade to a miss; the
    cache can make an analysis faster, never wrong and never crash it. *)
 
-module Iset = Spec.Iset
-
 let envelope_version = 2
 let default_dir = "_boost_cache"
 
@@ -128,22 +126,21 @@ let lookup t ~kind ~key ~decode =
       bump t (fun s -> s.corrupt <- s.corrupt + 1);
       None)
 
-let find t ~kind ~key = lookup t ~kind ~key ~decode:Option.some
-
 let store t ~kind ~key payload =
-  try
+  match
     mkdir_p t.dir;
-    let tmp = Filename.temp_file ~temp_dir:t.dir ".write" ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (header ~kind ~key);
-        output_char oc '\n';
-        output_string oc payload);
-    Sys.rename tmp (file t ~kind ~key);
-    bump t (fun s -> s.writes <- s.writes + 1)
-  with Sys_error _ -> ()
+    Filename.temp_file ~temp_dir:t.dir ".write" ".tmp"
+  with
+  | exception Sys_error _ -> ()
+  | tmp -> (
+    try
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc (header ~kind ~key);
+          output_char oc '\n';
+          output_string oc payload);
+      Sys.rename tmp (file t ~kind ~key);
+      bump t (fun s -> s.writes <- s.writes + 1)
+    with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
 
 (* --- maintenance --- *)
 
@@ -295,32 +292,6 @@ let pp_change ppf = function
   | Unchanged -> Format.pp_print_string ppf "unchanged"
   | Changed -> Format.pp_print_string ppf "changed (re-analysis required)"
   | Added -> Format.pp_print_string ppf "new (no cache entry)"
-
-(* --- typed accessors: Reach solutions --- *)
-
-(* Reach solutions are keyed by the [full] hash. The payload repeats it, so
-   a payload stored for another system decodes as corrupt rather than
-   replaying that system's fixpoint. *)
-
-let reach_key (h : Structhash.t) ~max_faults ~inputs_key =
-  Printf.sprintf "%s-mf%d-%s" (Structhash.key h) max_faults inputs_key
-
-let reach_store t (h : Structhash.t) ~max_faults ~inputs_key r =
-  let b = Buffer.create 1024 in
-  encode_structhash b h;
-  Reach.encode_solution b (Reach.solution_of r);
-  store t ~kind:"reach" ~key:(reach_key h ~max_faults ~inputs_key) (Buffer.contents b)
-
-let reach_find t (h : Structhash.t) ~max_faults ~inputs_key sys =
-  lookup t ~kind:"reach"
-    ~key:(reach_key h ~max_faults ~inputs_key)
-    ~decode:(fun payload ->
-      let c = Codec.cursor payload in
-      if decode_structhash c <> h then raise (Codec.Corrupt "structural hash mismatch");
-      let sol = Reach.decode_solution c in
-      if sol.Reach.s_max_faults <> max_faults then
-        raise (Codec.Corrupt "max_faults mismatch");
-      Some (Reach.of_solution sys sol))
 
 (* --- typed accessors: rendered lint reports --- *)
 

@@ -33,17 +33,9 @@ val open_ : dir:string -> t
 (** Creates the directory (and parents) if absent. All operations on the
     returned handle are thread-safe. *)
 
-val find : t -> kind:string -> key:string -> string option
-(** Raw payload lookup; counts a hit, miss, stale or corrupt. *)
-
-val lookup : t -> kind:string -> key:string -> decode:(string -> 'a option) -> 'a option
-(** The counting wrapper every typed accessor goes through: a payload whose
-    [decode] returns [None] or raises (e.g. {!Codec.Corrupt}) is demoted
-    from hit to corrupt and the file quarantined, so the statistics always
-    describe usable entries. *)
-
 val store : t -> kind:string -> key:string -> string -> unit
-(** Atomic write; failures are swallowed (the entry is simply not cached). *)
+(** Atomic write; failures are swallowed (the entry is simply not cached,
+    and its tempfile is removed). *)
 
 (** {1 Maintenance} *)
 
@@ -91,17 +83,6 @@ val diff : (string * Structhash.t) list -> (string * Structhash.t) list -> chang
 val pp_change : Format.formatter -> change -> unit
 
 (** {1 Typed accessors} *)
-
-val reach_key : Structhash.t -> max_faults:int -> inputs_key:string -> string
-(** Reach solutions are keyed by the [full] hash, like every other entry. *)
-
-val reach_store :
-  t -> Structhash.t -> max_faults:int -> inputs_key:string -> Reach.t -> unit
-
-val reach_find :
-  t -> Structhash.t -> max_faults:int -> inputs_key:string -> Model.System.t -> Reach.t option
-(** A payload whose stored [full] hash or [max_faults] disagrees with the
-    request is corrupt: quarantined and counted, never replayed. *)
 
 type lint_entry = { human : string; findings : Lint.finding list; code : int }
 (** A rendered lint report: the exact human text (margin 78), the findings

@@ -17,11 +17,8 @@ let compare_finding a b =
     let c = String.compare a.code b.code in
     if c <> 0 then c else String.compare a.subject b.subject
 
-let analyze ?max_faults ?inputs ?(gaps = []) ?reach (sys : System.t) =
-  (* [?reach] lets the cache substitute a restored fixpoint solution for the
-     solve; the caller owes a solution computed for this system (or one
-     behaviorally identical under its key) at the same [max_faults]. *)
-  let r = match reach with Some r -> r | None -> Reach.analyze ?max_faults ?inputs sys in
+let analyze ?max_faults ?inputs ?(gaps = []) (sys : System.t) =
+  let r = Reach.analyze ?max_faults ?inputs sys in
   let interference = Interfere.analyze ~reach:r ?max_crashes:max_faults sys in
   let fs = ref [] in
   let add code severity subject detail = fs := { code; severity; subject; detail } :: !fs in

@@ -32,15 +32,11 @@ val analyze :
   ?max_faults:int ->
   ?inputs:Ioa.Value.t list ->
   ?gaps:Guarantee.gap list ->
-  ?reach:Reach.t ->
   Model.System.t ->
   report
 (** [gaps] (from {!Guarantee.gaps} against the protocol's registered claim)
     are folded in as [guarantee-gap] findings at [Info] severity — expected
-    paper-explanations for the boosting protocols, not defects. [reach]
-    substitutes a (cache-restored) fixpoint solution for the solve; the
-    caller owes a solution computed for this system, or one behaviorally
-    identical under its cache key, at the same [max_faults]. *)
+    paper-explanations for the boosting protocols, not defects. *)
 
 val severity_name : severity -> string
 (** ["error"] / ["warning"] / ["info"] — the JSON rendering. *)

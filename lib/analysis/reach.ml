@@ -36,10 +36,9 @@ let subsets ~n ~seed ~extra =
     (fun k -> List.map (fun s -> List.fold_left (fun f i -> Iset.add i f) seed s) (choose k free))
     (List.init (extra + 1) Fun.id)
 
-(* Post-fixpoint fact pass: rerun each transfer once against a solution to
-   harvest firing, decide and incident facts. Factored out of [solve] so a
-   cached solution can be rehydrated into a full [t] without re-running the
-   fixpoint — the facts are one transfer sweep, the fixpoint is many. *)
+(* Post-fixpoint fact pass: rerun each transfer once against the solution
+   to harvest firing, decide and incident facts — one transfer sweep per
+   unknown, after the fixpoint's many. *)
 let harvest ~max_faults ~fsets ~values ~stats (sys : System.t) =
   let tasks = sys.System.tasks in
   let incidents = ref [] in
@@ -171,47 +170,3 @@ let frozen t =
   Array.for_all
     (fun inf -> Astate.leq inf.astate a0 && inf.decides = [] && not inf.decide_havoc)
     t.infos
-
-(* --- cache serialization ---
-
-   Only the fixpoint *solution* is persisted — the per-unknown failed sets
-   and abstract states plus the solver statistics. Decides, incidents and
-   firing facts are rebuilt by the (cheap) [harvest] sweep against the
-   current system, so a restored solution renders facts exactly as a cold
-   run would. *)
-
-type solution = {
-  s_max_faults : int;
-  s_failed : Iset.t array;
-  s_astates : Astate.t array;
-  s_stats : Fixpoint.stats;
-}
-
-let solution_of t =
-  {
-    s_max_faults = t.max_faults;
-    s_failed = Array.map (fun inf -> inf.failed) t.infos;
-    s_astates = Array.map (fun inf -> inf.astate) t.infos;
-    s_stats = t.stats;
-  }
-
-let of_solution (sys : System.t) sol =
-  harvest ~max_faults:sol.s_max_faults ~fsets:sol.s_failed ~values:sol.s_astates
-    ~stats:sol.s_stats sys
-
-let encode_solution b sol =
-  Codec.int_out b sol.s_max_faults;
-  Codec.int_out b sol.s_stats.Fixpoint.iterations;
-  Codec.int_out b sol.s_stats.Fixpoint.widenings;
-  Codec.array_out b Codec.iset_out sol.s_failed;
-  Codec.array_out b Codec.astate_out sol.s_astates
-
-let decode_solution c =
-  let s_max_faults = Codec.int_in c in
-  let iterations = Codec.int_in c in
-  let widenings = Codec.int_in c in
-  let s_failed = Codec.array_in c Codec.iset_in in
-  let s_astates = Codec.array_in c Codec.astate_in in
-  if Array.length s_failed <> Array.length s_astates then
-    raise (Codec.Corrupt "solution arity mismatch");
-  { s_max_faults; s_failed; s_astates; s_stats = { Fixpoint.iterations; widenings } }

@@ -64,30 +64,3 @@ val frozen : t -> bool
     decide event is possible anywhere: the seed state is quiescent and
     remains so under every further crash pattern within [max_faults] —
     the {!Prune} closure certificate. *)
-
-(** {1 Cache serialization}
-
-    Only the fixpoint {e solution} is persisted — the per-unknown failed
-    sets and abstract states plus the solver statistics. Decides, incidents
-    and firing facts are rebuilt by the (cheap) harvest sweep against the
-    current system, so a restored solution renders facts exactly as a cold
-    run would. *)
-
-type solution = {
-  s_max_faults : int;
-  s_failed : Spec.Iset.t array;
-  s_astates : Astate.t array;
-  s_stats : Fixpoint.stats;
-}
-
-val solution_of : t -> solution
-
-val of_solution : Model.System.t -> solution -> t
-(** Re-harvest the facts against [sys]; the caller owes a solution computed
-    for this system or a behaviorally identical (possibly service-permuted,
-    already re-indexed) twin. *)
-
-val encode_solution : Buffer.t -> solution -> unit
-
-val decode_solution : Codec.cursor -> solution
-(** Raises {!Codec.Corrupt} on malformed input. *)

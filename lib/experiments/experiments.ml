@@ -422,10 +422,23 @@ let e12_message_passing () =
 
 (* --- E13: the universal construction (§1) --- *)
 
+(* A universal-counter run's client history: each initialized process calls
+   increment at the start, and each decide event returns that process's
+   counter response, in execution order. *)
+let counter_history exec =
+  List.filter_map
+    (function
+      | Model.Event.Init (i, _) ->
+        Some (Model.Linearize.Call { endpoint = i; op = Spec.Seq_counter.increment })
+      | Model.Event.Decide (i, resp) -> Some (Model.Linearize.Return { endpoint = i; resp })
+      | _ -> None)
+    (Model.Exec.events exec)
+
 let e13_universal () =
   let n = 3 in
+  let counter = Spec.Seq_counter.make () in
   let sys =
-    Protocols.Universal.system ~obj:(Spec.Seq_counter.make ())
+    Protocols.Universal.system ~obj:counter
       ~ops:(List.init n (fun _ -> Spec.Seq_counter.increment))
   in
   let ok = ref 0 in
@@ -436,13 +449,9 @@ let e13_universal () =
       Model.Scheduler.run ~policy:Model.System.dummy_policy
         ~stop_when:Model.Properties.termination ~max_steps:60_000 sys exec0 sched
     in
-    let final = Model.Exec.last_state exec in
-    let resps =
-      List.map (fun (_, v) -> Spec.Op.int_arg v) (Model.State.decided_pairs final)
-    in
     if
-      Model.Properties.termination final
-      && List.length resps = List.length (List.sort_uniq Int.compare resps)
+      Model.Properties.termination (Model.Exec.last_state exec)
+      && Model.Linearize.check counter (counter_history exec)
     then incr ok
   done;
   [

@@ -72,9 +72,15 @@ val e12_message_passing : unit -> row list
     service are refuted on termination (safe variant) or agreement (live
     variant). *)
 
+val counter_history : Model.Exec.t -> Model.Linearize.event list
+(** The client history of a universal-counter run: one [increment] call per
+    initialized process, then one return per decide event carrying that
+    process's counter response, in execution order. *)
+
 val e13_universal : unit -> row list
 (** §1's universality claim: a wait-free linearizable counter from consensus
-    slots and registers, validated under adversarial runs. *)
+    slots and registers, validated under adversarial runs — each run must
+    terminate and its {!counter_history} pass {!Model.Linearize.check}. *)
 
 val all : unit -> row list
 (** The full battery, in order. *)

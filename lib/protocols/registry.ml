@@ -212,10 +212,6 @@ let claim_digest (e : entry) (p : params) =
 let lint_key (h : Analysis.Structhash.t) ~max_faults digest =
   Printf.sprintf "%s-mf%d-c%s" (Analysis.Structhash.key h) max_faults digest
 
-(* The default-inputs marker in reach keys; lint always analyzes with the
-   binary-staircase defaults. *)
-let inputs_key_default = "idef"
-
 type lint_result = {
   name : string;
   human : string;
@@ -236,30 +232,24 @@ let render_lint name r =
 
 let lint ?cache ?(max_faults = 1) (e : entry) (p : params) =
   let sys = e.build p in
-  let fresh ?reach ?hash ~store () =
-    let r = Analysis.Lint.analyze ~max_faults ~gaps:(gaps e p sys) ?reach sys in
-    let res =
-      {
-        name = e.name;
-        human = render_lint e.name r;
-        findings = r.Analysis.Lint.findings;
-        code = Analysis.Lint.exit_code r;
-        hash;
-      }
-    in
-    store r res;
-    res
+  let fresh hash =
+    let r = Analysis.Lint.analyze ~max_faults ~gaps:(gaps e p sys) sys in
+    {
+      name = e.name;
+      human = render_lint e.name r;
+      findings = r.Analysis.Lint.findings;
+      code = Analysis.Lint.exit_code r;
+      hash;
+    }
   in
   match cache with
-  | None -> fresh ~store:(fun _ _ -> ()) ()
+  | None -> fresh None
   | Some c -> (
     let h = Analysis.Structhash.system sys in
     let key = lint_key h ~max_faults (claim_digest e p) in
     match Analysis.Cache.lint_find c ~key with
     | Some entry ->
-      (* Lint hit: replay the rendered report verbatim. The
-         reach entry is deliberately not consulted, so a fully warm run
-         shows one hit per protocol and zero misses. *)
+      (* Lint hit: replay the rendered report verbatim. *)
       {
         name = e.name;
         human = entry.Analysis.Cache.human;
@@ -268,24 +258,10 @@ let lint ?cache ?(max_faults = 1) (e : entry) (p : params) =
         hash = Some h;
       }
     | None ->
-      (* Reach fallback: a fixpoint solution stored under the same
-         structural hash skips the solve; only the cheap harvest, footprint
-         refinement and rendering re-run. *)
-      let reach =
-        Analysis.Cache.reach_find c h ~max_faults ~inputs_key:inputs_key_default sys
-      in
-      fresh ?reach ~hash:h
-        ~store:(fun r res ->
-          if Option.is_none reach then
-            Analysis.Cache.reach_store c h ~max_faults ~inputs_key:inputs_key_default
-              r.Analysis.Lint.reach;
-          Analysis.Cache.lint_store c ~key
-            {
-              Analysis.Cache.human = res.human;
-              findings = res.findings;
-              code = res.code;
-            })
-        ())
+      let res = fresh (Some h) in
+      Analysis.Cache.lint_store c ~key
+        { Analysis.Cache.human = res.human; findings = res.findings; code = res.code };
+      res)
 
 let manifest () =
   List.map

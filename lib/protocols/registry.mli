@@ -57,9 +57,6 @@ val claim_digest : entry -> params -> string
     the registered claim and, when it scales, the identity of the probe
     system the scaling gaps run against. *)
 
-val inputs_key_default : string
-(** The default-inputs marker used in reach cache keys. *)
-
 type lint_result = {
   name : string;
   human : string;  (** The rendered report, margin 78, trailing newline. *)
@@ -71,9 +68,8 @@ type lint_result = {
 val lint : ?cache:Analysis.Cache.t -> ?max_faults:int -> entry -> params -> lint_result
 (** The single lint pipeline behind every CLI path (sequential, parallel,
     cached, cold): build, hash (when caching), consult the cache — a lint
-    hit replays the rendered report; a reach hit restores the fixpoint
-    solution and only re-harvests and re-renders — else analyze cold and
-    store both entries.
+    hit replays the rendered report — else analyze cold and store the
+    report.
     [max_faults] defaults to 1. Thread-safe under a shared [cache]. *)
 
 val manifest : unit -> (string * Analysis.Structhash.t) list

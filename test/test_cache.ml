@@ -220,32 +220,23 @@ let test_stale_envelope_dropped () =
   Alcotest.(check int) "nothing quarantined" 0 (Cache.corrupt_count ~dir);
   ignore (Cache.clear ~dir)
 
-(* A reach payload carries the hash it was stored under: another system's
-   solution placed under this system's key, envelope header and all, is
-   corrupt — quarantined, never replayed. *)
-let test_reach_payload_bound_to_hash () =
+(* A store whose rename cannot land — the target entry path is a non-empty
+   directory — is swallowed like any cache failure: nothing raised, no write
+   counted, and no tempfile left behind. *)
+let test_failed_store_leaves_no_tempfile () =
   let dir = scratch () in
   let c = Cache.open_ ~dir in
-  let donor = Protocols.Direct.system ~n:2 ~f:0 in
-  let sys = Protocols.Direct.system ~n:2 ~f:1 in
-  let h = Structhash.system donor and h' = Structhash.system sys in
-  let cold = Analysis.Lint.analyze ~max_faults:1 donor in
-  Cache.reach_store c h ~max_faults:1 ~inputs_key:"idef" cold.Analysis.Lint.reach;
-  let key = Cache.reach_key h ~max_faults:1 ~inputs_key:"idef" in
-  let key' = Cache.reach_key h' ~max_faults:1 ~inputs_key:"idef" in
-  let path k = Filename.concat dir ("reach-" ^ k ^ ".entry") in
-  let content = In_channel.with_open_bin (path key) In_channel.input_all in
-  let nl = String.index content '\n' in
-  Out_channel.with_open_bin (path key') (fun oc ->
-      Printf.fprintf oc "boost-cache %d %d reach %s" Cache.envelope_version
-        Structhash.analyzer_version key';
-      Out_channel.output_string oc (String.sub content nl (String.length content - nl)));
-  Alcotest.(check bool) "foreign payload is a miss" true
-    (Cache.reach_find c h' ~max_faults:1 ~inputs_key:"idef" sys = None);
-  Alcotest.(check int) "counted corrupt" 1 c.Cache.stats.Cache.corrupt;
-  Alcotest.(check int) "quarantined" 1 (Cache.corrupt_count ~dir);
-  Alcotest.(check bool) "donor still hits" true
-    (Cache.reach_find c h ~max_faults:1 ~inputs_key:"idef" donor <> None);
+  let target = Filename.concat dir "lint-k.entry" in
+  Sys.mkdir target 0o755;
+  let inner = Filename.concat target "occupant" in
+  Out_channel.with_open_bin inner (fun oc -> Out_channel.output_string oc "x");
+  Cache.lint_store c ~key:"k" { Cache.human = "report\n"; findings = []; code = 0 };
+  Alcotest.(check int) "no write counted" 0 c.Cache.stats.Cache.writes;
+  Alcotest.(check (list string)) "no tempfile left" []
+    (Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".tmp"));
+  Sys.remove inner;
+  Sys.rmdir target;
   ignore (Cache.clear ~dir)
 
 (* A fleet manifest from the previous envelope version, in the old layout
@@ -294,29 +285,25 @@ let test_lint_warm_equals_cold () =
         b.Registry.human;
       Alcotest.(check int) ("code " ^ a.Registry.name) a.Registry.code b.Registry.code)
     cold warm;
-  (* The reach fallback: with every rendered report gone, each protocol
-     misses its lint entry, replays its stored reach solution (the solve is
-     skipped; harvest, footprints and rendering re-run) and rewrites the
-     lint entry — byte-identical to the cold run. *)
-  List.iter
-    (fun f ->
-      if String.starts_with ~prefix:"lint-" f then Sys.remove (Filename.concat dir f))
-    (entry_files dir);
+  (* With every rendered report gone, each protocol misses its lint entry,
+     solves the fixpoint as a cache-less run does and rewrites the entry —
+     byte-identical to the cold run. *)
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) (entry_files dir);
   let c3 = Cache.open_ ~dir in
-  let via_reach = lint_fleet ~cache:c3 () in
+  let resolved = lint_fleet ~cache:c3 () in
   let n = List.length Registry.all in
-  Alcotest.(check int) "reach run: one reach hit per protocol" n c3.Cache.stats.Cache.hits;
-  Alcotest.(check int) "reach run: one lint miss per protocol" n
+  Alcotest.(check int) "re-solve run: no hits" 0 c3.Cache.stats.Cache.hits;
+  Alcotest.(check int) "re-solve run: one lint miss per protocol" n
     c3.Cache.stats.Cache.misses;
-  Alcotest.(check int) "reach run: only lint entries rewritten" n
+  Alcotest.(check int) "re-solve run: one lint entry rewritten per protocol" n
     c3.Cache.stats.Cache.writes;
   List.iter2
     (fun (a : Registry.lint_result) (b : Registry.lint_result) ->
-      Alcotest.(check string) ("via reach " ^ a.Registry.name) a.Registry.human
+      Alcotest.(check string) ("re-solved " ^ a.Registry.name) a.Registry.human
         b.Registry.human;
-      Alcotest.(check int) ("via reach code " ^ a.Registry.name) a.Registry.code
+      Alcotest.(check int) ("re-solved code " ^ a.Registry.name) a.Registry.code
         b.Registry.code)
-    cold via_reach;
+    cold resolved;
   ignore (Cache.clear ~dir)
 
 (* Change-impact: after "editing" exactly one protocol, a warm sweep
@@ -339,9 +326,8 @@ let test_single_edit_reanalyzes_one () =
   Alcotest.(check int) "hits: everyone else"
     (List.length Registry.all - 1)
     c2.Cache.stats.Cache.hits;
-  (* The edited protocol misses its lint entry, then its reach entry. *)
-  Alcotest.(check int) "misses: the edited protocol only" 2 c2.Cache.stats.Cache.misses;
-  Alcotest.(check int) "writes: its two fresh entries" 2 c2.Cache.stats.Cache.writes;
+  Alcotest.(check int) "misses: the edited protocol only" 1 c2.Cache.stats.Cache.misses;
+  Alcotest.(check int) "writes: its fresh lint entry" 1 c2.Cache.stats.Cache.writes;
   ignore (Cache.clear ~dir)
 
 let suite =
@@ -355,8 +341,8 @@ let suite =
       Alcotest.test_case "corrupt entries quarantined" `Quick test_corrupt_quarantine;
       Alcotest.test_case "stale envelopes dropped" `Quick test_stale_envelope_dropped;
       Alcotest.test_case "stale manifest dropped" `Quick test_stale_manifest_dropped;
-      Alcotest.test_case "reach payload bound to its hash" `Quick
-        test_reach_payload_bound_to_hash;
+      Alcotest.test_case "failed store leaves no tempfile" `Quick
+        test_failed_store_leaves_no_tempfile;
       Alcotest.test_case "lint: warm = cold, hit per protocol" `Quick
         test_lint_warm_equals_cold;
       Alcotest.test_case "one edit re-analyzes one protocol" `Quick

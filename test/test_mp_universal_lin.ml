@@ -135,6 +135,34 @@ let test_universal_under_failures () =
         (List.length (List.sort_uniq Int.compare resps)))
     (List.init 10 Fun.id)
 
+(* E13's verdict reads the client history, not the response set: a run whose
+   pre-values {0, 1, 2} are rewritten to the distinct but impossible
+   {0, 1, 3} passes a distinctness count and fails linearizability. *)
+let test_universal_history_checked () =
+  let n = 3 in
+  let counter = Spec.Seq_counter.make () in
+  let _, _, exec = run_rr ~max_steps:60_000 (universal_counter n) (List.init n Fun.id) in
+  let h = Experiments.counter_history exec in
+  Alcotest.(check bool) "real history linearizable" true (Model.Linearize.check counter h);
+  let forged =
+    List.map
+      (function
+        | Model.Linearize.Return { endpoint; resp } when Spec.Op.int_arg resp = 2 ->
+          Model.Linearize.Return { endpoint; resp = Spec.Seq_counter.count 3 }
+        | ev -> ev)
+      h
+  in
+  let resps =
+    List.filter_map
+      (function
+        | Model.Linearize.Return { resp; _ } -> Some (Spec.Op.int_arg resp) | _ -> None)
+      forged
+  in
+  Alcotest.(check (list int)) "forged responses distinct" [ 0; 1; 3 ]
+    (List.sort_uniq Int.compare resps);
+  Alcotest.(check bool) "forged history rejected" false
+    (Model.Linearize.check counter forged)
+
 let test_universal_logs_prefix_consistent () =
   let n = 3 in
   let sys = universal_counter n in
@@ -266,6 +294,8 @@ let suite =
       Alcotest.test_case "universal: wait-free under failures" `Quick test_universal_under_failures;
       Alcotest.test_case "universal: log prefix consistency" `Quick
         test_universal_logs_prefix_consistent;
+      Alcotest.test_case "universal: client history checked" `Quick
+        test_universal_history_checked;
       Alcotest.test_case "linearize: sequential" `Quick test_linearize_sequential;
       Alcotest.test_case "linearize: stale read rejected" `Quick test_linearize_stale_read_rejected;
       Alcotest.test_case "linearize: concurrency flexibility" `Quick

@@ -194,16 +194,17 @@ let test_family_key_moves () =
 let test_stats_json_kinds () =
   let dir = scratch () in
   let c = Cache.open_ ~dir in
-  Cache.store c ~kind:"lint" ~key:"k1" "x";
-  Cache.store c ~kind:"reach" ~key:"k2" "y";
+  Cache.store c ~kind:"pcert" ~key:"k1" "x";
+  Cache.store c ~kind:"lint" ~key:"k2" "y";
   Cache.store c ~kind:"pcert" ~key:"k3" "z";
-  Cache.store c ~kind:"reach" ~key:"k4" "w";
+  Cache.write_manifest c [];
   let json = Cache.stats_json c in
   Alcotest.(check bool) "kinds object present" true (contains json "\"kinds\"");
-  Alcotest.(check bool) "reach counted" true (contains json "\"reach\": 2");
+  Alcotest.(check bool) "pcert counted" true (contains json "\"pcert\": 2");
   Alcotest.(check bool) "lint counted" true (contains json "\"lint\": 1");
-  Alcotest.(check bool) "pcert counted" true (contains json "\"pcert\": 1");
-  (* Deterministic sorted order: lint before pcert before reach. *)
+  Alcotest.(check bool) "manifest counted" true (contains json "\"manifest\": 1");
+  (* Deterministic sorted order, not store order: lint before manifest
+     before pcert. *)
   let idx needle =
     let rec go i =
       if i + String.length needle > String.length json then -1
@@ -213,7 +214,7 @@ let test_stats_json_kinds () =
     go 0
   in
   Alcotest.(check bool) "sorted by kind" true
-    (idx "\"lint\"" < idx "\"pcert\"" && idx "\"pcert\"" < idx "\"reach\"");
+    (idx "\"lint\"" < idx "\"manifest\"" && idx "\"manifest\"" < idx "\"pcert\"");
   ignore (Cache.clear ~dir)
 
 let suite =
