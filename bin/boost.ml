@@ -426,9 +426,10 @@ let chaos_cmd =
             ( true,
               info [ "dedup" ]
                 ~doc:
-                  "Prune schedules whose configuration at activation was already explored \
-                   (default). Systematic mode only, where it engages with -j above 1 or \
-                   with --por or --static-prune at any -j; otherwise it is ignored." );
+                  "Prune schedules whose configuration at activation was already explored, \
+                   inheriting that run's verdict and counters (default). Systematic mode \
+                   only, where it engages with -j above 1 or with --static-prune; \
+                   otherwise it is ignored." );
             (false, info [ "no-dedup" ] ~doc:"Run every candidate schedule, even reconverging ones.");
           ])
   in
@@ -451,24 +452,6 @@ let chaos_cmd =
              step; network faults additionally need the empty-buffer certificate), \
              without executing them. The report is unchanged except for the prune count.")
   in
-  let por_arg =
-    Arg.(
-      value
-      & vflag false
-          [
-            ( true,
-              info [ "por" ]
-                ~doc:
-                  "Systematic mode: partial-order reduction — skip schedules whose fault \
-                   placement (crash, drop/dup/delay, partition) is equivalent by the \
-                   static footprint relation to a lower-ranked schedule's, inheriting \
-                   its verdict. Violations and verdicts match the un-reduced \
-                   exploration exactly." );
-            ( false,
-              info [ "no-por" ]
-                ~doc:"Run every fault placement, even interference-equivalent ones (default)." );
-          ])
-  in
   let prune_stats_out_arg =
     Arg.(
       value
@@ -476,7 +459,7 @@ let chaos_cmd =
       & info [ "prune-stats-out" ] ~docv:"FILE"
           ~doc:
             "Systematic mode: write the exploration's prune statistics (examined, space, \
-             dedup/static/por prune counts, ...) to FILE as JSON.")
+             dedup/static prune counts, ...) to FILE as JSON.")
   in
   let schedule_arg =
     Arg.(
@@ -502,7 +485,7 @@ let chaos_cmd =
              Off by default; crash-only reports are byte-identical without it.")
   in
   let run (protocol, params) faults max_faults seed runs max_steps horizon budget stride jobs
-      dedup shrink static_prune por prune_stats_out schedule timeout witness_out degrade =
+      dedup shrink static_prune prune_stats_out schedule timeout witness_out degrade =
     let sys = protocol.Registry.build params in
     let monitors = chaos_monitors protocol ~degrade in
     let horizon =
@@ -595,7 +578,7 @@ let chaos_cmd =
         || match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
       in
       let report =
-        Chaos.Driver.run ?monitors ~shrink ~domains:jobs ~dedup ~static_prune ~por ~stop
+        Chaos.Driver.run ?monitors ~shrink ~domains:jobs ~dedup ~static_prune ~stop
           mode sys
       in
       Sys.set_signal Sys.sigint prev_sigint;
@@ -612,7 +595,6 @@ let chaos_cmd =
             \  \"wall_truncated\": %b,\n\
             \  \"dedup_hits\": %d,\n\
             \  \"static_prunes\": %d,\n\
-            \  \"por_prunes\": %d,\n\
             \  \"step_budget_hits\": %d,\n\
             \  \"monitor_truncations\": %d,\n\
             \  \"vacuous_net_faults\": %d,\n\
@@ -621,7 +603,7 @@ let chaos_cmd =
             report.Chaos.Driver.examined report.Chaos.Driver.space
             report.Chaos.Driver.truncated report.Chaos.Driver.wall_truncated
             report.Chaos.Driver.dedup_hits report.Chaos.Driver.static_prunes
-            report.Chaos.Driver.por_prunes report.Chaos.Driver.step_budget_hits
+            report.Chaos.Driver.step_budget_hits
             report.Chaos.Driver.monitor_truncations
             report.Chaos.Driver.vacuous_net_faults
             (match report.Chaos.Driver.outcome with
@@ -658,7 +640,7 @@ let chaos_cmd =
     Term.(
       const run $ with_params protocol_arg $ faults_arg $ max_faults_arg $ seed_arg
       $ runs_arg $ max_steps_arg $ horizon_arg $ budget_arg $ stride_arg $ jobs_arg
-      $ dedup_arg $ shrink_arg $ static_prune_arg $ por_arg $ prune_stats_out_arg
+      $ dedup_arg $ shrink_arg $ static_prune_arg $ prune_stats_out_arg
       $ schedule_arg $ timeout_arg $ witness_out_arg $ degrade_arg)
   in
   Cmd.v

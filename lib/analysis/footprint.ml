@@ -151,26 +151,6 @@ let of_system ?reach ?max_crashes (sys : System.t) =
   (* Reach is probed per process, not per task; share one refinement pass. *)
   Array.map (fun tk -> tk, of_task ?reach ~max_crashes sys tk) sys.System.tasks
 
-(* --- network-adversary deliveries ---
-
-   Expressed over the same component space, neutrally (no dependency on the
-   chaos layer's schedule grammar): a drop/dup/delay reads and rewrites
-   exactly its target endpoint's response buffer — vacuousness (empty
-   buffer) is a read of the same component — while a partition or heal
-   rewrites only the cross-block delivery state ([Net_topology]), which
-   lives in the compiled schedule, not in {!Model.State.t}; the only tasks
-   observing it are service outputs (their [blocked] gate). *)
-
-type net_op = Omission of { svc : int; endpoint : int } | Topology
-
-let of_net_op = function
-  | Omission { svc; endpoint } ->
-    let c = Cset.singleton (Svc_resp (svc, endpoint)) in
-    { reads = c; writes = c }
-  | Topology ->
-    let c = Cset.singleton Net_topology in
-    { reads = c; writes = c }
-
 let pp_component ppf = function
   | Pstate i -> Format.fprintf ppf "proc[%d]" i
   | Decision i -> Format.fprintf ppf "decision[%d]" i

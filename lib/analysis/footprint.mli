@@ -48,21 +48,6 @@ val of_system :
   ?reach:Reach.t -> ?max_crashes:int -> Model.System.t -> (Model.Task.t * t) array
 (** One footprint per entry of [sys.tasks], in task order. *)
 
-type net_op =
-  | Omission of { svc : int; endpoint : int }
-      (** A drop/duplicate/delay delivery against service position [svc]'s
-          response buffer at endpoint (pid) [endpoint]. *)
-  | Topology
-      (** A partition or heal delivery: rewrites the cross-block delivery
-          state, touches no buffer. *)
-
-val of_net_op : net_op -> t
-(** The footprint of one network-adversary delivery: an omission reads and
-    writes exactly its target endpoint's response buffer (reading covers the
-    vacuousness test on an empty buffer); a topology change reads and writes
-    only [Net_topology]. DESIGN.md §3.12 connects this to the Lemma 8 /
-    Claim 2 commutation argument lifted to omission faults. *)
-
 val pp_component : Format.formatter -> component -> unit
 val pp_cset : Format.formatter -> Cset.t -> unit
 val pp : Format.formatter -> t -> unit

@@ -16,8 +16,6 @@ let analyze ?reach ?max_crashes (sys : System.t) =
   let fps = Array.map snd (Footprint.of_system ?reach ~max_crashes sys) in
   { sys; fps; max_crashes }
 
-let max_crashes t = t.max_crashes
-
 let footprint t tk =
   let rec go i =
     if i >= Array.length t.sys.System.tasks then
@@ -39,32 +37,6 @@ let clashes f1 f2 = Option.is_some (clash_witness f1 f2)
 let interferes t e e' = Task.equal e e' || clashes (footprint t e) (footprint t e')
 
 let independent t e e' = not (interferes t e e')
-
-let crash_interferes t ~pid tk =
-  let fp = footprint t tk in
-  Footprint.Cset.mem (Footprint.Crash_bit pid)
-    (Footprint.Cset.union fp.Footprint.reads fp.Footprint.writes)
-
-(* --- the network adversary's deliveries against the same relation ---
-
-   A net delivery is one more footprinted event: an omission rewrites one
-   response buffer, a partition/heal rewrites the topology component. The
-   clash test is the very same write-overlap criterion as task⇄task, so
-   independence is again sound for commutation — swapping the delivery with
-   an adjacent independent task (or fault) leaves the reached configuration,
-   the task's outcome, and the omission's vacuousness unchanged. *)
-
-let net_interferes t op tk = clashes (Footprint.of_net_op op) (footprint t tk)
-
-let net_independent t op tk = not (net_interferes t op tk)
-
-let net_net_interferes op op' =
-  clashes (Footprint.of_net_op op) (Footprint.of_net_op op')
-
-let net_crash_interferes op ~pid =
-  let fp = Footprint.of_net_op op in
-  Footprint.Cset.mem (Footprint.Crash_bit pid)
-    (Footprint.Cset.union fp.Footprint.reads fp.Footprint.writes)
 
 (* Static participants: the union of {!System.participants} over every
    action the task can take in any configuration. A process task's next

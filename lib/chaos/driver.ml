@@ -33,7 +33,6 @@ type report = {
   vacuous_net_faults : int;
   dedup_hits : int;
   static_prunes : int;
-  por_prunes : int;
   outcome : outcome;
 }
 
@@ -74,20 +73,19 @@ let violated ?monitors ?max_steps ?interleave ~shrink sys original =
   Violated
     { original; minimized; shrink_stats; witness = witness_of_violation final; replayed = None }
 
-let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true)
-    ?(static_prune = false) ?(por = false) ?(stop = fun () -> false) mode sys =
+let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(static_prune = false)
+    ?(stop = fun () -> false) mode sys =
   match mode with
   | Systematic config ->
     let r =
       (* One domain keeps the trusted sequential path, byte-identical to the
-         pre-parallel engine; more domains (or either static oracle) go
-         through the deduplicated shared-counter explorer. The explorer gets
-         the caller's monitors verbatim — its static oracles key on the
-         caller not overriding the (degrade-aware) defaults. *)
-      if domains <= 1 && not static_prune && not por then
-        Explore.run ?monitors ~config ~stop sys
-      else
-        Explore.run_par ?monitors ~config ~domains ~dedup ~static_prune ~por ~stop sys
+         pre-parallel engine and far leaner in memory; more domains (or the
+         static oracle) go through the deduplicated shared-counter explorer.
+         The explorer gets the caller's monitors verbatim — its static
+         oracle keys on the caller not overriding the (degrade-aware)
+         defaults. *)
+      if domains <= 1 && not static_prune then Explore.run ?monitors ~config ~stop sys
+      else Explore.run_par ?monitors ~config ~domains ~dedup ~static_prune ~stop sys
     in
     let shrink_monitors =
       (* The shrinker must judge candidates by the same family the explorer
@@ -116,13 +114,12 @@ let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true)
       vacuous_net_faults = r.Explore.vacuous_net_faults;
       dedup_hits = r.Explore.dedup_hits;
       static_prunes = r.Explore.static_prunes;
-      por_prunes = r.Explore.por_prunes;
       outcome;
     }
   | Seeded { seed; runs; max_faults; horizon; max_steps; kinds; degrade } ->
     let monitors =
       (* Same degrade-aware defaulting as the systematic path; the seeded
-         engine never engages the static oracles, so nothing keys on None. *)
+         engine never engages the static oracle, so nothing keys on None. *)
       match monitors with
       | Some _ -> monitors
       | None -> if degrade then Some (Monitor.defaults ~degrade:true ()) else None
@@ -194,7 +191,6 @@ let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true)
       vacuous_net_faults = !vacuous;
       dedup_hits = 0;
       static_prunes = 0;
-      por_prunes = 0;
       outcome;
     }
 
@@ -217,7 +213,11 @@ let pp_mode ppf = function
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>%a@," pp_mode r.mode;
-  Format.fprintf ppf "examined %d of %d candidate schedule(s)%s%s@," r.examined r.space
+  let saturated = match r.mode with Systematic _ -> r.space = max_int | Seeded _ -> false in
+  Format.fprintf ppf "examined %d of %s%d candidate schedule(s)%s%s%s@," r.examined
+    (if saturated then "≥" else "")
+    r.space
+    (if saturated then " (space count saturated)" else "")
     (if r.truncated then " — TRUNCATED: enumeration budget hit before exhausting the space"
      else "")
     (if r.wall_truncated then " — truncated: wall-clock" else "");
@@ -226,11 +226,6 @@ let pp_report ppf r =
   if r.static_prunes > 0 then
     Format.fprintf ppf "%d schedule(s) statically pruned (proven clean, never executed)@,"
       r.static_prunes;
-  if r.por_prunes > 0 then
-    Format.fprintf ppf
-      "%d schedule(s) pruned by partial-order reduction (verdict inherited from the \
-       canonical fault placement)@,"
-      r.por_prunes;
   if r.step_budget_hits > 0 then
     Format.fprintf ppf
       "%d run(s) hit the step budget undecided — liveness verdicts there are bounded evidence only@,"

@@ -64,9 +64,6 @@ type report = {
   static_prunes : int;
       (** Schedules skipped by the abstract-interpretation infeasibility
           oracle (systematic mode with [static_prune]; 0 otherwise). *)
-  por_prunes : int;
-      (** Schedules skipped by partial-order reduction (systematic mode
-          with [por]; 0 otherwise). *)
   outcome : outcome;
 }
 
@@ -76,16 +73,16 @@ val run :
   ?domains:int ->
   ?dedup:bool ->
   ?static_prune:bool ->
-  ?por:bool ->
   ?stop:(unit -> bool) ->
   mode ->
   Model.System.t ->
   report
-(** [shrink] defaults to true. [domains] (default 1) > 1, [static_prune]
-    (default false) or [por] (default false) routes systematic exploration
-    through {!Explore.run_par} with [dedup] (default true); otherwise the
+(** [shrink] defaults to true. [domains] (default 1) > 1 or [static_prune]
+    (default false) routes systematic exploration through
+    {!Explore.run_par} with [dedup] (default true), whose report equals the
+    sequential one in every field but the prune counts; otherwise the
     sequential {!Explore.run} path is kept, byte-identical to the
-    pre-parallel engine. Seeded mode ignores all four.
+    pre-parallel engine. Seeded mode ignores all three.
 
     [stop] (default never) is the wall-clock budget: polled between
     candidate schedules in every mode; once it returns true no further

@@ -52,7 +52,6 @@ type report = {
   vacuous_net_faults : int;
   dedup_hits : int;
   static_prunes : int;
-  por_prunes : int;
   violation : violation option;
 }
 
@@ -137,20 +136,30 @@ let schedules sys cfg =
   Seq.flat_map of_size (Seq.init (cfg.max_faults + 1) Fun.id)
 
 let space_size sys cfg =
+  (* Saturating: a space past [max_int] reports [max_int]. *)
+  let add a b = if a > max_int - b then max_int else a + b in
+  let mul a b = if a <> 0 && b > max_int / a then max_int else a * b in
   let g = List.length (grid cfg) in
   let t = List.length (templates sys cfg) in
-  let rec binom n k = if k = 0 || k = n then 1 else binom (n - 1) (k - 1) + binom (n - 1) k in
-  let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
-  let rec sum k acc =
-    if k > cfg.max_faults || k > t then acc else sum (k + 1) (acc + (binom t k * pow g k))
-  in
-  sum 0 0
+  let k_max = min cfg.max_faults t in
+  (* [binom.(k)] = C(t, k) for k ≤ k_max, by Pascal's rule over t rows. *)
+  let binom = Array.make (max 1 (k_max + 1)) 0 in
+  binom.(0) <- 1;
+  for row = 1 to t do
+    for k = min row k_max downto 1 do
+      binom.(k) <- add binom.(k) binom.(k - 1)
+    done
+  done;
+  let total = ref 0 and gk = ref 1 in
+  for k = 0 to k_max do
+    total := add !total (mul binom.(k) !gk);
+    gk := mul !gk g
+  done;
+  !total
 
 (* Callers that pass no monitors get the default family matching the
-   config's degrade flag, so `--degrade` composes with the static oracles:
-   the oracles engage whenever the caller supplied nothing custom, and the
-   degrade-aware verdict sensitivity (partition state at decide events) is
-   encoded in the POR dependence instead of disengaging the reduction. *)
+   config's degrade flag, so `--degrade` composes with the static oracle:
+   it engages whenever the caller supplied nothing custom. *)
 let effective_monitors cfg = function
   | Some ms -> ms
   | None -> Monitor.defaults ~degrade:cfg.degrade ()
@@ -204,7 +213,6 @@ let run ?monitors ?config ?(stop = fun () -> false) (sys : Model.System.t) =
     vacuous_net_faults = !vacuous;
     dedup_hits = 0;
     static_prunes = 0;
-    por_prunes = 0;
     violation;
   }
 
@@ -219,8 +227,7 @@ type run_record = {
   vacuous : int;
   deduped : bool;
   statically_pruned : bool;
-  por_pruned : bool;
-  parent : int option;
+  parent : bool;
   found : violation option;
 }
 
@@ -272,7 +279,6 @@ let merge ?(wall = false) ~space ~scheduled records =
     vacuous_net_faults = sum (fun r -> r.vacuous);
     dedup_hits = sum (fun r -> if r.deduped then 1 else 0);
     static_prunes = sum (fun r -> if r.statically_pruned then 1 else 0);
-    por_prunes = sum (fun r -> if r.por_pruned then 1 else 0);
     violation = Option.map snd winner;
   }
 
@@ -280,232 +286,15 @@ let rec note_best best rank =
   let cur = Atomic.get best in
   if rank < cur && not (Atomic.compare_and_set best cur rank) then note_best best rank
 
-(* --- partial-order reduction over fault placements ---
-
-   Two schedules are equivalent when one is obtained from the other by
-   sliding a fault delivery one grid notch earlier past task slots that are
-   statically independent of it: crashes slide past tasks blind to the pid's
-   crash bit ({!Analysis.Interfere.crash_interferes}), omission deliveries
-   (drop/dup/delay) past tasks not touching their target response buffer,
-   and topology changes (a partition's begin and synthesized heal — both
-   slide together) past tasks whose [blocked] gate never consults the
-   partition state ({!Analysis.Interfere.net_interferes}, DESIGN.md §3.12).
-   The slid-past tasks neither observe nor disturb the delivery's footprint,
-   so both runs execute the same task slots with the same outcomes, reach
-   the same configuration once the window closes, and the compiled schedules
-   agree from there on — the verdicts coincide. The enumeration orders
-   schedules lexicographically by fault step, so the earliest-delivery form
-   of every equivalence class has the least rank: a schedule from which some
-   fault can still slide is non-canonical and is skipped, its verdict
-   inherited from the lower-ranked form. Violating schedules are never the
-   skipped side (their canonical form violates too, at lower rank), so the
-   rank-least merged violation — and with it [examined] and [truncated] —
-   matches the unreduced oracle exactly; the remaining counters are copied
-   from the parent record after the workers join.
-
-   Two refinements keep the sliding sound beyond the crash-only case:
-
-   - When the schedule contains any partition, window tasks additionally
-     must not read the topology component at all: a window task executes
-     one wall step later in the canonical form, and [Schedule.separated]
-     is keyed on nominal wall steps, so a task straddling some OTHER
-     partition's begin/heal boundary could change its blocked status.
-     Topology-blind tasks cannot.
-
-   - Under [degrade], the degraded-agreement monitor grades decide events
-     by the partitions active at their wall step, so in partition-bearing
-     schedules window tasks must also not write a decision. All other
-     default monitors are placement-insensitive across a sound slide. *)
-
-type por_ctx = {
-  crash_dep : bool array array;  (* pid -> task index -> interferes *)
-  omis_dep : ((int * int) * bool array) list;  (* (svc pos, endpoint pid) *)
-  topo_dep : bool array;
-  decide_dep : bool array;
-  svc_pos : (string * int) list;
-}
-
-let por_deps cfg (sys : Model.System.t) =
-  (* All dependence rows, precomputed eagerly (workers share this read-only;
-     the footprints are sharpened by the exploration's own fault bound). *)
-  let inter = Analysis.Interfere.analyze ~max_crashes:cfg.max_faults sys in
-  let tasks = sys.Model.System.tasks in
-  let crash_dep =
-    Array.init (Model.System.n_processes sys) (fun pid ->
-        Array.map (fun tk -> Analysis.Interfere.crash_interferes inter ~pid tk) tasks)
-  in
-  let svc_pos =
-    Array.to_list sys.Model.System.services
-    |> List.map (fun (c : Model.Service.t) ->
-           c.Model.Service.id, Model.System.service_pos sys c.Model.Service.id)
-  in
-  let omis_dep =
-    Array.to_list sys.Model.System.services
-    |> List.concat_map (fun (c : Model.Service.t) ->
-           let svc = Model.System.service_pos sys c.Model.Service.id in
-           Array.to_list c.Model.Service.endpoints
-           |> List.map (fun endpoint ->
-                  ( (svc, endpoint),
-                    Array.map
-                      (fun tk ->
-                        Analysis.Interfere.net_interferes inter
-                          (Analysis.Footprint.Omission { svc; endpoint })
-                          tk)
-                      tasks )))
-  in
-  let topo_dep =
-    Array.map
-      (fun tk -> Analysis.Interfere.net_interferes inter Analysis.Footprint.Topology tk)
-      tasks
-  in
-  let decide_dep =
-    Array.map
-      (fun tk ->
-        let fp = Analysis.Interfere.footprint inter tk in
-        Analysis.Footprint.Cset.exists
-          (function Analysis.Footprint.Decision _ -> true | _ -> false)
-          fp.Analysis.Footprint.writes)
-      tasks
-  in
-  { crash_dep; omis_dep; topo_dep; decide_dep; svc_pos }
-
-let slide_fault stride = function
-  | Schedule.Crash { step; pid } -> Schedule.crash ~step:(step - stride) ~pid
-  | Schedule.Drop { step; service; endpoint } ->
-    Schedule.drop ~step:(step - stride) ~service ~endpoint
-  | Schedule.Duplicate { step; service; endpoint } ->
-    Schedule.duplicate ~step:(step - stride) ~service ~endpoint
-  | Schedule.Delay { step; service; endpoint; lag } ->
-    Schedule.delay ~step:(step - stride) ~service ~endpoint ~lag
-  | Schedule.Partition { step; blocks; heal_at } ->
-    (* Both deliveries slide, keeping the template's heal offset — the slid
-       form is the same fault site instantiated one grid notch earlier. *)
-    Schedule.partition ~step:(step - stride) ~blocks ~heal_at:(heal_at - stride)
-  | Schedule.Silence _ -> invalid_arg "slide_fault: silence"
-
-let por_slide ~ctx ~stride ~degrade ~max_steps ~n_tasks (s : Schedule.t) =
-  (* Only the enumeration's own shape is eligible (silencing default, no
-     overrides) — same convention as the static-prune oracle. Silences are
-     excluded: a policy flip is keyed to fixed wall steps the slide would
-     cross, and no footprint covers it. *)
-  if
-    s.Schedule.overrides <> []
-    || s.Schedule.default_pref <> Model.System.Prefer_dummy
-    || List.exists (function Schedule.Silence _ -> true | _ -> false) s.Schedule.faults
-  then None
-  else begin
-    let faults = Array.of_list s.Schedule.faults in
-    let has_partition =
-      Array.exists (function Schedule.Partition _ -> true | _ -> false) faults
-    in
-    (* The delivery sequence, mirroring [Schedule.deliveries] exactly: one
-       entry per crash/omission, a begin/heal pair per partition, stably
-       sorted by nominal step. Actual delivery steps then bunch up one per
-       step: d_k = max(nominal_k, d_{k-1}+1). *)
-    let ds =
-      Array.to_list faults
-      |> List.mapi (fun fi f -> fi, f)
-      |> List.concat_map (fun (fi, f) ->
-             match f with
-             | Schedule.Crash { step; _ }
-             | Schedule.Drop { step; _ }
-             | Schedule.Duplicate { step; _ }
-             | Schedule.Delay { step; _ } -> [ step, fi ]
-             | Schedule.Partition { step; heal_at; _ } -> [ step, fi; heal_at, fi ]
-             | Schedule.Silence _ -> [])
-      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> Array.of_list
-    in
-    let nd = Array.length ds in
-    if nd = 0 then None
-    else begin
-      let actual = Array.make nd 0 in
-      let prev = ref (-1) in
-      Array.iteri
-        (fun k (at, _) ->
-          let d = max at (!prev + 1) in
-          actual.(k) <- d;
-          prev := d)
-        ds;
-      (* Every delivery — and with it every slide window — must land strictly
-         inside the step budget, or the budget cut could fall between the two
-         runs' windows and their counters diverge. (Implied by the engagement
-         precondition for crash-only schedules; partitions heal half a
-         horizon late, so it bites.) *)
-      if actual.(nd - 1) >= max_steps then None
-      else begin
-        let dep_row fi =
-          match faults.(fi) with
-          | Schedule.Crash { pid; _ } -> ctx.crash_dep.(pid)
-          | Schedule.Drop { service; endpoint; _ }
-          | Schedule.Duplicate { service; endpoint; _ }
-          | Schedule.Delay { service; endpoint; _ } ->
-            List.assoc (List.assoc service ctx.svc_pos, endpoint) ctx.omis_dep
-          | Schedule.Partition _ -> ctx.topo_dep
-          | Schedule.Silence _ -> assert false
-        in
-        (* Delivery k can slide from nominal step [at] to [at - stride] iff
-           the window stays clear of other deliveries (prev delivered
-           strictly before at - stride, next scheduled strictly after at)
-           and every task slot in [at - stride, at) — cursor u - k, k
-           deliveries having happened — is independent of the fault (plus
-           the partition refinements above). *)
-        let window_clear k row =
-          let at, _ = ds.(k) in
-          at - stride >= 0
-          && (k = 0 || actual.(k - 1) < at - stride)
-          && (k + 1 >= nd || fst ds.(k + 1) > at)
-          &&
-          let ok = ref true in
-          for u = at - stride to at - 1 do
-            let i = (u - k) mod n_tasks in
-            if
-              row.(i)
-              || (has_partition
-                 && (ctx.topo_dep.(i) || (degrade && ctx.decide_dep.(i))))
-            then ok := false
-          done;
-          !ok
-        in
-        let movable fi =
-          let row = dep_row fi in
-          let all = ref true and any = ref false in
-          Array.iteri
-            (fun k (_, fi') ->
-              if fi' = fi then begin
-                any := true;
-                if not (window_clear k row) then all := false
-              end)
-            ds;
-          !any && !all
-        in
-        let rec first fi =
-          if fi >= Array.length faults then None
-          else if movable fi then Some fi
-          else first (fi + 1)
-        in
-        match first 0 with
-        | None -> None
-        | Some fi ->
-          Some
-            (Schedule.make
-               (List.mapi
-                  (fun i f -> if i = fi then slide_fault stride f else f)
-                  (Array.to_list faults)))
-      end
-    end
-  end
-
-let run_par ?monitors ?config ?(domains = 1) ?(dedup = true)
-    ?(static_prune = false) ?(por = false)
+let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(static_prune = false)
     ?(stop = fun () -> false) (sys : Model.System.t) =
   let cfg = match config with Some c -> c | None -> default_config sys in
   let space = space_size sys cfg in
   let candidates = Array.of_seq (Seq.take (max 0 cfg.budget) (schedules sys cfg)) in
   let scheduled = Array.length candidates in
   let n_tasks = Array.length sys.Model.System.tasks in
-  (* The static oracles key on the caller NOT overriding the monitor family
-     (their soundness arguments cover the defaults, degrade-aware or not);
+  (* The static oracle keys on the caller NOT overriding the monitor family
+     (its soundness argument covers the defaults, degrade-aware or not);
      the runs themselves always get the effective family. *)
   let eff_monitors = effective_monitors cfg monitors in
   let quiescence =
@@ -526,42 +315,6 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true)
         ~inputs:(Runner.default_inputs sys)
         ~horizon:cfg.horizon sys
     else None
-  in
-  let por_dep =
-    (* Engaged under the same convention as the quiescence oracle: default
-       monitors (the swap argument needs monitors whose placement
-       sensitivity the dependence rows encode), deterministic round-robin
-       interleaving, and a step budget that provably accommodates the
-       longest pruned crash-only run ([por_slide] re-checks net-bearing
-       delivery tails per schedule). *)
-    if
-      por && monitors = None
-      && cfg.horizon + cfg.max_faults + n_tasks + 2 <= cfg.max_steps
-    then Some (por_deps cfg sys)
-    else None
-  in
-  let rank_of =
-    (* Enumeration rank by printed schedule, for resolving a slid parent to
-       the record whose counters the pruned twin inherits. Sliding any fault
-       one grid notch earlier strictly lowers the enumeration rank, so every
-       parent of a scheduled candidate is itself scheduled. *)
-    match por_dep with
-    | None -> None
-    | Some _ ->
-      let h = Hashtbl.create (max 16 (2 * scheduled)) in
-      Array.iteri (fun i s -> Hashtbl.replace h (Schedule.to_string s) i) candidates;
-      Some h
-  in
-  let por_parent schedule =
-    match por_dep, rank_of with
-    | Some ctx, Some ranks -> (
-      match
-        por_slide ~ctx ~stride:cfg.stride ~degrade:cfg.degrade ~max_steps:cfg.max_steps
-          ~n_tasks schedule
-      with
-      | None -> None
-      | Some parent -> Hashtbl.find_opt ranks (Schedule.to_string parent))
-    | _ -> None
   in
   let prunable (s : Schedule.t) =
     match quiescence with
@@ -629,8 +382,7 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true)
       vacuous = 0;
       deduped = false;
       statically_pruned = false;
-      por_pruned = false;
-      parent = None;
+      parent = false;
       found = None;
     }
   in
@@ -661,71 +413,71 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true)
             (clean rank) with
             vacuous = (if crash_only then 0 else omissions);
             statically_pruned = true;
-            parent = (if crash_only then None else Some 0);
+            parent = not crash_only;
           }
       end
-      else
-        match por_parent schedule with
-        | Some parent ->
-          (* Non-canonical: a fault slides earlier past provably independent
-             task slots, so a lower-ranked equivalent schedule reproduces
-             this run's verdict and per-run counters. Kept records at ranks
-             ≤ the winner are clean (a violating schedule's canonical form
-             wins first); the counters are copied from the parent chain once
-             the workers join. *)
-          Some { (clean rank) with por_pruned = true; parent = Some parent }
-        | None ->
-          let keyed = ref None in
-          let on_active =
-            if dedup then
-              Some
-                (fun ~step ~cursor exec ->
-                  let key = Fingerprint.key ~cursor exec in
-                  match Fingerprint.Visited.find visited key with
-                  | Some suffix when step + suffix <= cfg.max_steps -> `Prune
-                  | _ ->
-                    keyed := Some (key, step);
-                    `Continue)
-            else None
-          in
-          let r =
-            Runner.run ~monitors:eff_monitors ~max_steps:cfg.max_steps ?on_active ?prefix
-              ~schedule sys
-          in
-          let base =
+      else begin
+        (* [keyed]: this run's activation key, step and truncation count, to
+           record its suffix on a lasso; [inherited]: the recorded suffix's
+           truncations a pruned twin adds to its own — the whole continuation
+           from an equal key is inherited, counters included. *)
+        let keyed = ref None and inherited = ref 0 in
+        let on_active =
+          if dedup then
+            Some
+              (fun ~step ~cursor ~truncations exec ->
+                let key = Fingerprint.key ~cursor exec in
+                match Fingerprint.Visited.find visited key with
+                | Some (suffix, suffix_truncs) when step + suffix <= cfg.max_steps ->
+                  inherited := suffix_truncs;
+                  `Prune
+                | _ ->
+                  keyed := Some (key, step, truncations);
+                  `Continue)
+          else None
+        in
+        let r =
+          Runner.run ~monitors:eff_monitors ~max_steps:cfg.max_steps ?on_active ?prefix
+            ~schedule sys
+        in
+        let truncations = List.length r.Runner.monitor_truncations in
+        let base =
+          {
+            (clean rank) with
+            truncations = truncations + !inherited;
+            undelivered = r.Runner.undelivered_crashes;
+            undelivered_n = r.Runner.undelivered_net;
+            vacuous = r.Runner.vacuous_net_faults;
+          }
+        in
+        Some
+          (match r.Runner.stop with
+          | Runner.Violation { monitor; reason; proven } ->
+            note_best best rank;
             {
-              (clean rank) with
-              truncations = List.length r.Runner.monitor_truncations;
-              undelivered = r.Runner.undelivered_crashes;
-              undelivered_n = r.Runner.undelivered_net;
-              vacuous = r.Runner.vacuous_net_faults;
+              base with
+              found =
+                Some
+                  { schedule; monitor; reason; proven; exec = r.Runner.exec;
+                    steps = r.Runner.steps;
+                    degraded_to = degraded_to_of cfg sys r.Runner.exec };
             }
-          in
-          Some
-            (match r.Runner.stop with
-            | Runner.Violation { monitor; reason; proven } ->
-              note_best best rank;
-              {
-                base with
-                found =
-                  Some
-                    { schedule; monitor; reason; proven; exec = r.Runner.exec;
-                      steps = r.Runner.steps;
-                      degraded_to = degraded_to_of cfg sys r.Runner.exec };
-              }
-            | Runner.Lasso _ ->
-              (* Only proven-quiescent clean runs seed the visited table: a
-                 pruned twin would provably replay this suffix to the same
-                 verdict (its step budget permitting — hence the suffix guard
-                 above). Budget-bounded clean runs are never recorded, so a
-                 cutoff at a different point can never be inherited. *)
-              (match !keyed with
-              | Some (key, act) ->
-                Fingerprint.Visited.add visited key ~suffix_steps:(r.Runner.steps - act)
-              | None -> ());
-              base
-            | Runner.Budget -> { base with budget_hit = true }
-            | Runner.Pruned -> { base with deduped = true })
+          | Runner.Lasso _ ->
+            (* Only proven-quiescent clean runs seed the visited table: a
+               pruned twin would provably replay this suffix to the same
+               verdict and counters (its step budget permitting — hence the
+               suffix guard above). Budget-bounded clean runs are never
+               recorded, so a cutoff at a different point can never be
+               inherited. *)
+            (match !keyed with
+            | Some (key, act, at_act) ->
+              Fingerprint.Visited.add visited key ~suffix_steps:(r.Runner.steps - act)
+                ~suffix_truncations:(truncations - at_act)
+            | None -> ());
+            base
+          | Runner.Budget -> { base with budget_hit = true }
+          | Runner.Pruned -> { base with deduped = true })
+      end
   in
   (* Wall-clock budget expired: the pool hands out no further rank and the
      records so far merge into a wall-truncated report. *)
@@ -734,49 +486,18 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true)
   let records =
     Array.map Option.join (Analysis.Pool.map ~stop ~jobs:domains scheduled run_one)
   in
-  (* Resolve inherited counters now that every parent's record exists: a
-     net-bearing statically pruned record adopts the fault-free rank-0 run's
-     monitor truncations, and a POR-pruned record adopts the counters of its
-     slid parent (following chains of slides to the concrete — or statically
-     pruned, or deduped — source). A missing parent can only mean the run was
-     wall-truncated or the parent's rank sat past the best violation — in
-     either case the child record is not part of the merged report's kept
-     set, so the zero claims stand harmlessly. *)
-  Array.iteri
-    (fun i -> function
-      | Some ({ statically_pruned = true; parent = Some p; _ } as r) -> (
-        match records.(p) with
-        | Some pr when (not pr.statically_pruned) && not pr.por_pruned ->
-          records.(i) <- Some { r with truncations = pr.truncations }
+  (* A net-bearing statically pruned record adopts the fault-free rank-0
+     run's monitor truncations (rank 0 is never statically pruned). Ranks
+     are dealt in increasing order, so rank 0 has a record whenever any
+     rank does. *)
+  (match if scheduled > 0 then records.(0) else None with
+  | Some r0 ->
+    Array.iteri
+      (fun i -> function
+        | Some ({ parent = true; _ } as r) ->
+          records.(i) <- Some { r with truncations = r0.truncations }
         | _ -> ())
-      | _ -> ())
-    records;
-  let memo = Hashtbl.create 16 in
-  let rec source r =
-    if not r.por_pruned then r
-    else
-      match r.parent with
-      | None -> r
-      | Some p -> (
-        match Hashtbl.find_opt memo p with
-        | Some s -> s
-        | None ->
-          let s = match records.(p) with Some pr -> source pr | None -> r in
-          Hashtbl.replace memo p s;
-          s)
-  in
-  let resolve r =
-    let s = source r in
-    if s == r then r
-    else
-      {
-        r with
-        budget_hit = s.budget_hit;
-        truncations = s.truncations;
-        undelivered = s.undelivered;
-        undelivered_n = s.undelivered_n;
-        vacuous = s.vacuous;
-      }
-  in
+      records
+  | None -> ());
   merge ~wall:(Atomic.get wall_stopped) ~space ~scheduled
-    (List.filter_map (Option.map resolve) (Array.to_list records))
+    (List.filter_map Fun.id (Array.to_list records))

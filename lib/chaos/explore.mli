@@ -49,7 +49,9 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type report = {
   examined : int;
-  space : int;  (** Full enumeration-space size for the config. *)
+  space : int;
+      (** Full enumeration-space size for the config ({!space_size}:
+          [max_int] when saturated). *)
   truncated : bool;  (** Enumeration budget hit before exhausting the space. *)
   wall_truncated : bool;
       (** The caller's [stop] thunk fired before the enumeration finished
@@ -74,14 +76,6 @@ type report = {
           require the empty-buffer certificate), so the run provably ends
           in a clean lasso. Counted as examined. Always 0 for {!run} and
           for {!run_par} without [static_prune]. *)
-  por_prunes : int;
-      (** Schedules skipped by partial-order reduction ({!run_par} with
-          [por]): their fault placement differs from a lower-ranked
-          schedule's only by sliding deliveries (crash, omission, or a
-          partition's begin/heal pair) past task slots that are statically
-          independent of them ({!Analysis.Interfere}), so the lower-ranked
-          run provably reaches the same verdict. Counted as examined.
-          Always 0 for {!run}. *)
   violation : violation option;
 }
 
@@ -95,6 +89,8 @@ val schedules : Model.System.t -> config -> Schedule.t Seq.t
     ({!Schedule.make}'s default). *)
 
 val space_size : Model.System.t -> config -> int
+(** The number of candidates {!schedules} enumerates, saturating at
+    [max_int] when the true count exceeds it. *)
 
 val run :
   ?monitors:Monitor.t list ->
@@ -117,19 +113,20 @@ val run :
     merged deterministically — counters are summed
     over ranks at most the winning rank, and the winning violation is the
     rank-least (then lexicographically least) one, so the merged report is
-    identical run-to-run regardless of interleaving, and identical to {!run}
-    whenever dedup is off.
+    identical to {!run}'s regardless of interleaving. The one exception is
+    [dedup_hits]: which twin of a reconverging pair runs first, and so
+    which one is pruned, depends on the interleaving.
 
     With [dedup] (default on), each run fingerprints its configuration at
     schedule activation ({!Fingerprint.key}: round-robin cursor, observable
     history, exact state); a configuration whose continuation was already
-    proven quiescent by a lasso run is pruned and inherits that verdict.
-    Pruning preserves verdicts, [examined], [space], [truncated],
-    [step_budget_hits] and [undelivered_crashes] exactly; only
-    [monitor_truncations] can undercount (a pruned run's suffix truncations
-    are not re-counted). Exploration always runs the round-robin
-    interleaving, where a run's continuation is a function of cursor and
-    state; seeded chaos mode never dedups. *)
+    proven quiescent by a lasso run is pruned and inherits that run's whole
+    continuation: its verdict and the monitor truncations its suffix
+    recorded, which the pruned run adds to its own up to activation. The
+    report therefore equals {!run}'s in every field but [dedup_hits].
+    Exploration always runs the round-robin interleaving, where a run's
+    continuation is a function of cursor and state; seeded chaos mode never
+    dedups. *)
 
 type run_record = {
   rank : int;  (** Enumeration index of the candidate schedule. *)
@@ -142,15 +139,10 @@ type run_record = {
   statically_pruned : bool;
       (** Skipped by the static infeasibility oracle; the clean-lasso
           counters were recorded without executing the run. *)
-  por_pruned : bool;
-      (** Skipped by partial-order reduction: an equivalent lower-ranked
-          schedule represents this run's verdict. *)
-  parent : int option;
-      (** The rank whose record this one's counters are inherited from:
-          the slid-earlier equivalent for POR prunes, rank 0 (the
-          fault-free run, for monitor truncations) for net-bearing static
-          prunes, [None] otherwise. Resolved — transitively, for chains of
-          slides — once every rank has run, before {!merge}. *)
+  parent : bool;
+      (** A net-bearing static prune, whose monitor truncations are those of
+          rank 0 (the fault-free run) and are copied from that record once
+          every rank has run, before {!merge}. *)
   found : violation option;
 }
 (** One run's result, the unit {!merge} operates on. *)
@@ -168,7 +160,6 @@ val run_par :
   ?domains:int ->
   ?dedup:bool ->
   ?static_prune:bool ->
-  ?por:bool ->
   ?stop:(unit -> bool) ->
   Model.System.t ->
   report
@@ -186,27 +177,8 @@ val run_par :
     delivery tail — a partition heals half a horizon past its begin — fits
     the step budget; silences always disqualify. The report is
     byte-identical to the unpruned one except that [monitor_truncations]
-    can undercount (like dedup) and [static_prunes] counts the skips. The
-    oracle only engages under the convention it certifies: default
+    can undercount and [static_prunes] counts the skips. The oracle only
+    engages under the convention it certifies: default
     monitors (degrade-aware when [config.degrade]), round-robin
     interleaving, and a step budget large enough that no pruned run could
-    have hit [Budget]; otherwise every candidate runs concretely.
-
-    With [por] (default false), candidates whose fault placement is
-    non-canonical — some delivery (a crash, an omission, or a partition's
-    begin/heal pair sliding together) can slide one grid notch earlier
-    across task slots that provably ignore its footprint (the static
-    interference relation, {!Analysis.Interfere}, sharpened by the
-    config's fault bound; see DESIGN.md §3.12 for the net-fault rows and
-    the partition-boundary and degrade refinements) — are skipped: an
-    equivalent schedule of strictly lower rank runs the same task slots to
-    the same verdict. Violations, [examined], [space] and [truncated]
-    match the un-reduced oracle exactly (a violating schedule's canonical
-    form violates at lower rank, so the rank-least winner is never
-    pruned); the per-run counters are inherited from the slid parent's
-    record, so they too match wherever the parent itself ran concretely.
-    Engages under the same convention: default monitors (degrade-aware
-    when [config.degrade]), round-robin interleaving, sufficient step
-    budget — with a per-schedule delivery-tail check for net-bearing
-    candidates. Composes freely with [dedup], [static_prune], [degrade]
-    and [domains]. *)
+    have hit [Budget]; otherwise every candidate runs concretely. *)

@@ -28,7 +28,7 @@ module H = Hashtbl.Make (struct
 end)
 
 module Visited = struct
-  type shard = { lock : Mutex.t; tbl : int H.t }
+  type shard = { lock : Mutex.t; tbl : (int * int) H.t }
   type t = shard array
 
   let create ?(shards = 64) () =
@@ -44,15 +44,15 @@ module Visited = struct
     let s = shard t k in
     with_lock s (fun () -> H.find_opt s.tbl k)
 
-  let add t k ~suffix_steps =
+  let add t k ~suffix_steps ~suffix_truncations =
     let s = shard t k in
     with_lock s (fun () ->
         (* Keep the largest recorded suffix: pruning guards on
            [step + suffix <= max_steps], so a larger suffix only makes the
            guard more conservative when histories disagree. *)
         match H.find_opt s.tbl k with
-        | Some prior when prior >= suffix_steps -> ()
-        | _ -> H.replace s.tbl k suffix_steps)
+        | Some (prior, _) when prior >= suffix_steps -> ()
+        | _ -> H.replace s.tbl k (suffix_steps, suffix_truncations))
 
   let size t = Array.fold_left (fun acc s -> acc + H.length s.tbl) 0 t
 end

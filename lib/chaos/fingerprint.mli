@@ -33,19 +33,24 @@ val pp : Format.formatter -> key -> unit
 (** Sharded visited table, safe for concurrent use from multiple domains.
     Each shard is an independent mutex-guarded hash table; keys map to the
     recorded run's suffix length (steps from the key to its proven-quiescent
-    lasso), which callers use to guard pruning against step-budget cutoffs. *)
+    lasso), which callers use to guard pruning against step-budget cutoffs,
+    and to the monitor truncations that suffix recorded, which a pruned twin
+    inherits. *)
 module Visited : sig
   type t
 
   val create : ?shards:int -> unit -> t
   (** Default 64 shards. *)
 
-  val find : t -> key -> int option
-  (** The recorded suffix length, if this configuration was seen. *)
+  val find : t -> key -> (int * int) option
+  (** The recorded suffix length and suffix truncation count, if this
+      configuration was seen. *)
 
-  val add : t -> key -> suffix_steps:int -> unit
+  val add : t -> key -> suffix_steps:int -> suffix_truncations:int -> unit
   (** Record a configuration whose continuation ran [suffix_steps] steps to a
-      proven-quiescent end. Keeps the largest suffix on duplicate insert. *)
+      proven-quiescent end, recording [suffix_truncations] monitor
+      truncations on the way (end-of-run checks included). Keeps the entry
+      with the largest suffix on duplicate insert. *)
 
   val size : t -> int
 end

@@ -161,7 +161,10 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
         if active && not !probed then begin
           probed := true;
           match on_active with
-          | Some probe -> probe ~step ~cursor:(!cursor mod n_tasks) exec = `Prune
+          | Some probe ->
+            probe ~step ~cursor:(!cursor mod n_tasks) ~truncations:(List.length !truncs)
+              exec
+            = `Prune
           | None -> false
         end
         else false

@@ -73,7 +73,8 @@ val run :
   ?max_steps:int ->
   ?interleave:interleave ->
   ?inputs:Ioa.Value.t list ->
-  ?on_active:(step:int -> cursor:int -> Model.Exec.t -> [ `Continue | `Prune ]) ->
+  ?on_active:
+    (step:int -> cursor:int -> truncations:int -> Model.Exec.t -> [ `Continue | `Prune ]) ->
   ?prefix:prefix ->
   schedule:Schedule.t ->
   Model.System.t ->
@@ -84,7 +85,8 @@ val run :
     [on_active], if given, is called exactly once, at the first [Round_robin]
     step where the compiled schedule is {!Schedule.fully_active} — the point
     from which the continuation is a deterministic function of the cursor and
-    the state. [cursor] is already reduced mod the task count. Returning
+    the state. [cursor] is already reduced mod the task count;
+    [truncations] counts the monitor truncations recorded so far. Returning
     [`Prune] stops the run immediately with {!Pruned} and {e without}
     evaluating end-of-run monitors: the caller asserts it has already
     examined an equivalent configuration. Never called under [Seeded]

@@ -60,3 +60,42 @@ let run_random ?policy ~seed ?(fail_prob = 0.0) ?(max_failures = 0) ?(max_steps 
   let sched = Model.Scheduler.random ~seed ~fail_prob ~max_failures sys in
   let exec, outcome = Model.Scheduler.run ?policy ~stop_when ~max_steps sys exec0 sched in
   Model.Exec.last_state exec, outcome, exec
+
+(* Every verdict-bearing field of an exploration report: all but the prune
+   counters ([dedup_hits], [static_prunes]), which are the only fields a
+   pruned exploration may report differently from the sequential oracle. *)
+type report_sig =
+  (int * int * bool * bool)
+  * (int * int * int * int * int)
+  * (string * string * string * bool * int * string option) option
+
+let report_sig (r : Chaos.Explore.report) : report_sig =
+  let violation_sig (v : Chaos.Explore.violation) =
+    ( Chaos.Schedule.to_string v.Chaos.Explore.schedule,
+      v.Chaos.Explore.monitor,
+      v.Chaos.Explore.reason,
+      v.Chaos.Explore.proven,
+      v.Chaos.Explore.steps,
+      v.Chaos.Explore.degraded_to )
+  in
+  ( ( r.Chaos.Explore.examined,
+      r.Chaos.Explore.space,
+      r.Chaos.Explore.truncated,
+      r.Chaos.Explore.wall_truncated ),
+    ( r.Chaos.Explore.step_budget_hits,
+      r.Chaos.Explore.monitor_truncations,
+      r.Chaos.Explore.undelivered_crashes,
+      r.Chaos.Explore.undelivered_net,
+      r.Chaos.Explore.vacuous_net_faults ),
+    Option.map violation_sig r.Chaos.Explore.violation )
+
+let report_sig_testable =
+  Alcotest.testable
+    (fun ppf (((a, b, c, d), (e, f, g, h, i), v) : report_sig) ->
+      Format.fprintf ppf
+        "examined=%d space=%d trunc=%b wall=%b budget=%d mtrunc=%d uc=%d un=%d vac=%d %s" a b
+        c d e f g h i
+        (match v with
+        | None -> "clean"
+        | Some (s, m, _, _, _, _) -> Printf.sprintf "violation %s [%s]" s m))
+    ( = )

@@ -225,57 +225,54 @@ let test_truncation_categories () =
        (fun (m, cat, _) -> m = "linearizability" && cat = Chaos.Monitor.Adversary)
        r.Chaos.Runner.monitor_truncations)
 
-(* --- POR x degrade composition (ISSUE 7 satellite) ---
+(* --- the pruning explorer x degrade ---
 
-   With [--por --degrade] an inherited verdict must carry the same
-   degraded-vector annotation the unpruned explorer computes: the slide
-   argument excludes decision-writing tasks from partition windows
-   precisely so the graded verdict survives the canonicalization. *)
+   Through dedup and the static oracle, a degrade-aware exploration must
+   reproduce the sequential report in full, the violation's degraded-vector
+   annotation included, and the minimizer must land on the same schedule
+   with the same damage. *)
 
-let test_por_degrade_compose () =
-  let sys = tob ~f:0 () in
-  let cfg =
+let test_pruned_degrade_compose () =
+  let degrade_cfg sys kinds =
     { (Chaos.Explore.default_config sys) with
       Chaos.Explore.max_faults = 1;
-      kinds = [ Chaos.Schedule.Drop_k; Chaos.Schedule.Partition_k ];
+      kinds;
       budget = 1_000_000;
       max_steps = 4_000;
       degrade = true;
     }
   in
-  let vsig (v : Chaos.Explore.violation) =
-    ( Chaos.Schedule.to_string v.Chaos.Explore.schedule,
-      v.Chaos.Explore.monitor,
-      v.Chaos.Explore.reason,
-      v.Chaos.Explore.proven,
-      v.Chaos.Explore.steps,
-      v.Chaos.Explore.degraded_to )
+  let check name sys cfg =
+    let oracle = Chaos.Explore.run ~config:cfg sys in
+    let par =
+      Chaos.Explore.run_par ~config:cfg ~domains:1 ~dedup:true ~static_prune:true sys
+    in
+    Alcotest.check Helpers.report_sig_testable (name ^ ": pruned report matches the oracle")
+      (Helpers.report_sig oracle) (Helpers.report_sig par);
+    oracle, par
   in
-  let oracle = Chaos.Explore.run ~config:cfg sys in
-  let par =
-    Chaos.Explore.run_par ~config:cfg ~domains:2 ~dedup:false ~static_prune:true
-      ~por:true sys
+  (* Clean, and both prunings fire. *)
+  let _, par =
+    check "direct f=0" (Protocols.Direct.system ~n:2 ~f:0)
+      (degrade_cfg (Protocols.Direct.system ~n:2 ~f:0)
+         [ Chaos.Schedule.Drop_k; Chaos.Schedule.Partition_k ])
   in
-  Alcotest.(check bool) "degrade oracle reaches a verdict" true
-    (oracle.Chaos.Explore.violation <> None);
+  Alcotest.(check bool) "dedup fired" true (par.Chaos.Explore.dedup_hits > 0);
+  Alcotest.(check bool) "static prune fired" true (par.Chaos.Explore.static_prunes > 0);
+  (* Violating, with a degraded vector on the verdict. *)
+  let sys = tob ~f:0 () in
+  let cfg = degrade_cfg sys [ Chaos.Schedule.Drop_k; Chaos.Schedule.Partition_k ] in
+  let oracle, _ = check "tob f=0" sys cfg in
   (match oracle.Chaos.Explore.violation with
   | Some v ->
     Alcotest.(check bool) "oracle verdict carries a degraded vector" true
       (v.Chaos.Explore.degraded_to <> None)
-  | None -> ());
-  Alcotest.(check bool) "pruned verdict matches, degraded vector included" true
-    (Option.map vsig oracle.Chaos.Explore.violation
-    = Option.map vsig par.Chaos.Explore.violation);
-  Alcotest.(check int) "examined counts agree" oracle.Chaos.Explore.examined
-    par.Chaos.Explore.examined;
-  Alcotest.(check bool) "the slide argument actually fired" true
-    (par.Chaos.Explore.por_prunes > 0);
-  (* The minimizer must agree too: Driver.run with POR on and off lands on
-     the same minimal schedule with the same minimized damage. *)
-  let driver por =
+  | None -> Alcotest.fail "degrade oracle reaches no verdict");
+  let driver pruned =
     match
-      (Chaos.Driver.run ~dedup:false ~static_prune:por ~por
-         (Chaos.Driver.Systematic cfg) sys)
+      (Chaos.Driver.run
+         ~domains:(if pruned then 2 else 1)
+         ~static_prune:pruned (Chaos.Driver.Systematic cfg) sys)
         .Chaos.Driver.outcome
     with
     | Chaos.Driver.Violated { minimized = Some m; _ } ->
@@ -283,7 +280,7 @@ let test_por_degrade_compose () =
     | _ -> Alcotest.fail "expected a minimized degrade-aware violation"
   in
   Alcotest.(check (pair string (option string)))
-    "minimized schedule and damage POR-invariant" (driver false) (driver true)
+    "minimized schedule and damage unchanged by pruning" (driver false) (driver true)
 
 (* --- CLI error satellite: kind parsing names its vocabulary --- *)
 
@@ -330,7 +327,8 @@ let suite =
         test_tob_drop_degrades;
       Alcotest.test_case "crash-only verdicts identical" `Quick test_crash_only_identity;
       Alcotest.test_case "truncation categories" `Quick test_truncation_categories;
-      Alcotest.test_case "por composes with degrade" `Quick test_por_degrade_compose;
+      Alcotest.test_case "dedup and static-prune compose with degrade" `Quick
+        test_pruned_degrade_compose;
       Alcotest.test_case "fault-kind parse errors name the vocabulary" `Quick
         test_parse_kind_errors;
       Alcotest.test_case "witness trajectory comments round-trip" `Quick

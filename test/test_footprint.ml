@@ -1,12 +1,10 @@
 (* The static interference relation, pinned to the concrete semantics.
 
    The soundness obligation is directional: whenever the footprints declare
-   two tasks independent (or a task independent of a pid's crash bit), the
-   concrete transition function must commute them — same final state,
-   applicability preserved either way, under either policy resolution. The
-   converse (interfering pairs that happen to commute) is allowed slack;
-   the partial-order reduction only ever exploits the sound direction, and
-   its report is differentially pinned to the unreduced explorer here. *)
+   two tasks independent, the concrete transition function must commute
+   them — same final state, applicability preserved either way, under
+   either policy resolution. The converse (interfering pairs that happen to
+   commute) is allowed slack. *)
 
 open Helpers
 module A = Analysis
@@ -26,18 +24,6 @@ let commutes ?policy sys s e e' =
     match Engine.Commute.commute_at ?policy sys s e e' with
     | Ok () -> true
     | Error _ -> false)
-
-(* Commutation of a task against the adversary's fail_pid input: the task
-   must take the same action to the same state on both sides of the crash
-   delivery. *)
-let crash_commutes ?policy sys s ~pid tk =
-  let fail st = snd (Model.System.apply_fail sys st pid) in
-  let step st = Model.System.transition ?policy sys st tk in
-  match step (fail s), step s with
-  | None, None -> true
-  | Some (ev1, s1), Some (ev2, s2) ->
-    Model.Event.equal ev1 ev2 && Model.State.equal s1 (fail s2)
-  | Some _, None | None, Some _ -> false
 
 let policies = [ Model.System.real_policy; Model.System.dummy_policy ]
 
@@ -59,24 +45,6 @@ let independence_sound inter sys s =
                    Model.Task.pp tasks.(j) Model.State.pp s))
           policies
     done
-  done;
-  let k = A.Interfere.max_crashes inter in
-  for pid = 0 to Model.System.n_processes sys - 1 do
-    (* Delivering fail_pid here stays within the crash bound the footprints
-       were sharpened for. *)
-    if Spec.Iset.mem pid s.Model.State.failed || Spec.Iset.cardinal s.Model.State.failed < k
-    then
-      Array.iter
-        (fun tk ->
-          if not (A.Interfere.crash_interferes inter ~pid tk) then
-            List.iter
-              (fun policy ->
-                if not (crash_commutes ~policy sys s ~pid tk) then
-                  note
-                    (Format.asprintf "%a does not commute with fail_%d at %a" Model.Task.pp
-                       tk pid Model.State.pp s))
-              policies)
-        tasks
   done;
   !bad
 
@@ -135,8 +103,7 @@ let qcheck_walk_soundness =
 
 let test_exhaustive_small () =
   (* Every failure-free reachable state of the small protocols, audited
-     against footprints sharpened for one crash: all task pairs, plus one
-     crash delivery per pid from each state. *)
+     against footprints sharpened for one crash: all task pairs. *)
   List.iter
     (fun name ->
       let sys = build name in
@@ -192,67 +159,6 @@ let test_registry_race_free () =
         (List.length (A.Interfere.races inter)))
     Protocols.Registry.all
 
-(* --- partial-order reduction, pinned to the unreduced explorer --- *)
-
-let cfg ?(max_faults = 1) ?(horizon = 12) () =
-  { Chaos.Explore.max_faults; horizon; stride = 1; budget = 100_000; max_steps = 2_000;
-    kinds = [ Chaos.Schedule.Crash_k ]; degrade = false }
-
-let report_sig (r : Chaos.Explore.report) =
-  (* Everything the reduced run must reproduce byte-identically; por_prunes
-     is the one field allowed to differ (asserted separately). *)
-  Format.asprintf "%d/%d/%b/%d/%d/%d/%s" r.Chaos.Explore.examined r.Chaos.Explore.space
-    r.Chaos.Explore.truncated r.Chaos.Explore.step_budget_hits
-    r.Chaos.Explore.monitor_truncations r.Chaos.Explore.undelivered_crashes
-    (match r.Chaos.Explore.violation with
-    | None -> "clean"
-    | Some v ->
-      Chaos.Schedule.to_string v.Chaos.Explore.schedule
-      ^ "|" ^ v.Chaos.Explore.monitor ^ "|" ^ v.Chaos.Explore.reason
-      ^ "|" ^ string_of_bool v.Chaos.Explore.proven)
-
-let por_differential ?max_faults ?horizon ~expect_prunes sys =
-  let config = cfg ?max_faults ?horizon () in
-  let oracle = Chaos.Explore.run ~config sys in
-  let reduced = Chaos.Explore.run_par ~config ~dedup:false ~por:true sys in
-  Alcotest.(check string) "report identical" (report_sig oracle) (report_sig reduced);
-  Alcotest.(check int) "oracle never prunes" 0 oracle.Chaos.Explore.por_prunes;
-  if expect_prunes then
-    Alcotest.(check bool) "skipped a nonzero number of schedules" true
-      (reduced.Chaos.Explore.por_prunes > 0)
-
-let test_por_direct_clean () =
-  por_differential ~expect_prunes:true (Protocols.Direct.system ~n:2 ~f:1)
-
-let test_por_tob_clean () =
-  por_differential ~horizon:40 ~expect_prunes:true (Protocols.Tob_direct.system ~n:2 ~f:1)
-
-let test_por_direct_violating () =
-  (* f = 0: the reports must coincide including the violation — a violating
-     schedule's canonical crash placement violates at lower rank, so the
-     rank-least winner survives reduction. *)
-  por_differential ~expect_prunes:false (Protocols.Direct.system ~n:2 ~f:0)
-
-let test_por_prune_rate_tob () =
-  (* The acceptance bar: ≥ 20% of the default-config tob space is pruned. *)
-  let sys = Protocols.Tob_direct.system ~n:2 ~f:1 in
-  let config = Chaos.Explore.default_config sys in
-  let r = Chaos.Explore.run_par ~config ~dedup:false ~por:true sys in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d of %d pruned" r.Chaos.Explore.por_prunes r.Chaos.Explore.space)
-    true
-    (5 * r.Chaos.Explore.por_prunes >= r.Chaos.Explore.space)
-
-let test_por_composes () =
-  (* por ∘ static_prune ∘ dedup ∘ domains, against the sequential oracle. *)
-  let sys = Protocols.Tob_direct.system ~n:2 ~f:1 in
-  let config = cfg ~horizon:40 () in
-  let oracle = Chaos.Explore.run ~config sys in
-  let reduced =
-    Chaos.Explore.run_par ~config ~domains:2 ~dedup:true ~static_prune:true ~por:true sys
-  in
-  Alcotest.(check string) "report identical" (report_sig oracle) (report_sig reduced)
-
 let suite =
   ( "footprint",
     [
@@ -261,10 +167,4 @@ let suite =
       Alcotest.test_case "covers concrete disjoint violations" `Quick
         test_interference_covers_disjoint_violations;
       Alcotest.test_case "registry race-free" `Quick test_registry_race_free;
-      Alcotest.test_case "por differential: direct clean" `Quick test_por_direct_clean;
-      Alcotest.test_case "por differential: tob clean" `Quick test_por_tob_clean;
-      Alcotest.test_case "por differential: direct violating" `Quick
-        test_por_direct_violating;
-      Alcotest.test_case "por prune rate on tob" `Quick test_por_prune_rate_tob;
-      Alcotest.test_case "por composes with dedup and static-prune" `Quick test_por_composes;
     ] )

@@ -1,20 +1,18 @@
-(* Net-fault partial-order reduction (ISSUE 7): the differential-oracle
-   battery for the footprint-driven slide argument.
+(* Task footprints against the network adversary, and the static-prune
+   oracle on net-fault spaces.
 
-   Three layers of evidence, cheapest claim to full-report pin:
+   Two layers of evidence:
 
-   1. QCheck soundness — every *independence* claim the static relation
-      makes (net⇄task, net⇄net, net⇄crash) is validated by concretely
-      executing both orders from a random reachable state and comparing
-      the resulting [State.t]s, events, applicability and vacuousness;
-   2. exhaustive small-G(C) order swaps — the same commutation check over
-      every reachable state of a small system (BFS under tasks, crashes
-      and net mutations), every fault kind, every task, both policies;
-   3. differential oracles — `--por`/`--static-prune` reports pinned
+   1. footprint soundness — a task whose footprint neither reads nor writes
+      an endpoint's response buffer commutes with every omission delivery
+      (drop/dup/delay) on that buffer, and the runner's partition gate only
+      ever holds back tasks whose footprint reads [Net_topology]: checked
+      by QCheck from random reachable states and exhaustively over a small
+      G(C);
+   2. differential oracles — `--static-prune` and dedup reports pinned
       field-for-field against the unpruned sequential explorer on tob's
       mixed crash+drop space and a truncated register-vote sweep over all
-      kinds, with a ≥20% prune-rate bar and the seeded-mode invariance
-      pin (POR flags must not perturb `Chaos.Rand` streams). *)
+      kinds. *)
 
 open Helpers
 module Fp = Analysis.Footprint
@@ -31,9 +29,6 @@ let sites sys =
            (fun ep -> c.Model.Service.id, ep)
            (Array.to_list c.Model.Service.endpoints))
 
-let omission_of sys (service, endpoint) =
-  Fp.Omission { svc = Model.System.service_pos sys service; endpoint }
-
 let net_kinds =
   [ Model.Event.Drop; Model.Event.Duplicate; Model.Event.Delay 1; Model.Event.Delay 2 ]
 
@@ -47,6 +42,19 @@ type ctx = {
 
 let ctx sys =
   { sys; inter = If.analyze ~max_crashes:1 sys; ss = sites sys; tasks = sys.Model.System.tasks }
+
+(* An omission delivery reads and rewrites exactly its target response
+   buffer (reading covers the vacuousness test), so a task whose footprint
+   does not touch that buffer is independent of it. *)
+let omission_independent { sys; inter; _ } (service, endpoint) tk =
+  let fp = If.footprint inter tk in
+  not
+    (Fp.Cset.mem
+       (Fp.Svc_resp (Model.System.service_pos sys service, endpoint))
+       (Fp.Cset.union fp.Fp.reads fp.Fp.writes))
+
+let reads_topology { inter; _ } tk =
+  Fp.Cset.mem Fp.Net_topology (If.footprint inter tk).Fp.reads
 
 let ctxs = lazy [| ctx (direct_f1 ()); ctx (tob2 ()) |]
 let pick_ctx i = (Lazy.force ctxs).((abs i) mod 2)
@@ -100,8 +108,9 @@ let omission_task_commutes { sys; _ } ~policy s ~site:(service, endpoint) ~kind 
   && Option.equal Model.Event.equal t1 t2
   && Model.State.equal s1 s2
 
-(* The first (site, task) pair from a rotating offset the relation claims
-   independent — every QCheck iteration then validates a real claim. *)
+(* The first (site, task) pair from a rotating offset the footprints
+   declare independent — every QCheck iteration then validates a real
+   claim. *)
 let independent_site_task c off =
   let combos =
     List.concat_map (fun site -> Array.to_list (Array.map (fun tk -> site, tk) c.tasks)) c.ss
@@ -111,7 +120,7 @@ let independent_site_task c off =
     if i >= n then None
     else
       let site, tk = List.nth combos ((off + i) mod n) in
-      if If.net_independent c.inter (omission_of c.sys site) tk then Some (site, tk)
+      if omission_independent c site tk then Some (site, tk)
       else go (i + 1)
   in
   go 0
@@ -140,60 +149,10 @@ let qcheck_omission_task_sound name kind =
         in
         omission_task_commutes c ~policy s ~site ~kind tk)
 
-(* net ⇄ net: claimed-independent deliveries (distinct buffers) commute. *)
-let qcheck_net_net_sound =
-  let gen = QCheck2.Gen.(tup5 moves_gen (int_range 0 1_000_000) (int_range 0 1_000_000) bool bool) in
-  qtest "independence sound: net vs net (1000 random states)" ~count:1000 gen
-    (fun (moves, i, j, which, flip) ->
-      let c = pick_ctx (Bool.to_int which) in
-      let s = walk c moves in
-      let ns = List.length c.ss in
-      let site1 = List.nth c.ss (i mod ns) and site2 = List.nth c.ss (j mod ns) in
-      let k1 = List.nth net_kinds (i / ns mod List.length net_kinds)
-      and k2 = List.nth net_kinds (j / ns mod List.length net_kinds) in
-      let k1, k2 = if flip then k2, k1 else k1, k2 in
-      if If.net_net_interferes (omission_of c.sys site1) (omission_of c.sys site2) then
-        true
-      else begin
-        let app (service, endpoint) kind s =
-          Model.System.apply_net c.sys s ~service ~endpoint ~kind
-        in
-        let a1, s1 = opt_step (app site1 k1) s in
-        let b1, s1 = opt_step (app site2 k2) s1 in
-        let b2, s2 = opt_step (app site2 k2) s in
-        let a2, s2 = opt_step (app site1 k1) s2 in
-        Option.equal Model.Event.equal a1 a2
-        && Option.equal Model.Event.equal b1 b2
-        && Model.State.equal s1 s2
-      end)
-
-(* net ⇄ crash: the relation claims universal independence; validate it
-   concretely — a crash bit and a response buffer never alias. *)
-let qcheck_net_crash_sound =
-  let gen = QCheck2.Gen.(tup4 moves_gen (int_range 0 1_000_000) (int_range 0 1_000_000) bool) in
-  qtest "independence sound: net vs crash (1000 random states)" ~count:1000 gen
-    (fun (moves, i, p, which) ->
-      let c = pick_ctx (Bool.to_int which) in
-      let s = walk c moves in
-      let ns = List.length c.ss in
-      let site = List.nth c.ss (i mod ns) in
-      let kind = List.nth net_kinds (i / ns mod List.length net_kinds) in
-      let pid = p mod Model.System.n_processes c.sys in
-      let op = omission_of c.sys site in
-      If.net_crash_interferes op ~pid = false
-      &&
-      let service, endpoint = site in
-      let net s = Model.System.apply_net c.sys s ~service ~endpoint ~kind in
-      let n1, s1 = opt_step net s in
-      let s1 = snd (Model.System.apply_fail c.sys s1 pid) in
-      let s2 = snd (Model.System.apply_fail c.sys s pid) in
-      let n2, s2 = opt_step net s2 in
-      Option.equal Model.Event.equal n1 n2 && Model.State.equal s1 s2)
-
 (* Topology ⇄ task: the runner's partition gate ([Schedule.blocked]) may
-   only ever hold back tasks the relation flags as topology-interfering —
-   a claimed-independent task runs identically whether or not a partition
-   is active, whatever the buffers hold. *)
+   only ever hold back tasks whose footprint reads the topology — any other
+   task runs identically whether or not a partition is active, whatever the
+   buffers hold. *)
 let blocks_variants n =
   List.init n (fun pid -> [ [ pid ] ]) @ if n = 2 then [ [ [ 0 ]; [ 1 ] ] ] else []
 
@@ -208,7 +167,7 @@ let topology_gate_respects_independence c s =
       Array.for_all
         (fun tk ->
           (not (Chaos.Schedule.blocked comp c.sys s tk))
-          || If.net_interferes c.inter Fp.Topology tk)
+          || reads_topology c tk)
         c.tasks)
     (blocks_variants (Model.System.n_processes c.sys))
 
@@ -281,7 +240,7 @@ let test_exhaustive_small_gc () =
         (fun site ->
           Array.iter
             (fun tk ->
-              if If.net_independent c.inter (omission_of c.sys site) tk then
+              if omission_independent c site tk then
                 List.iter
                   (fun kind ->
                     List.iter
@@ -294,52 +253,13 @@ let test_exhaustive_small_gc () =
                   net_kinds)
             c.tasks)
         c.ss;
-      (* Every claimed-independent net pair. *)
-      List.iter
-        (fun s1 ->
-          List.iter
-            (fun s2 ->
-              if not (If.net_net_interferes (omission_of c.sys s1) (omission_of c.sys s2))
-              then begin
-                incr checked;
-                let app (service, endpoint) kind st =
-                  Model.System.apply_net c.sys st ~service ~endpoint ~kind
-                in
-                let a1, st1 = opt_step (app s1 Model.Event.Drop) s in
-                let b1, st1 = opt_step (app s2 Model.Event.Duplicate) st1 in
-                let b2, st2 = opt_step (app s2 Model.Event.Duplicate) s in
-                let a2, st2 = opt_step (app s1 Model.Event.Drop) st2 in
-                if
-                  not
-                    (Option.equal Model.Event.equal a1 a2
-                    && Option.equal Model.Event.equal b1 b2
-                    && Model.State.equal st1 st2)
-                then Alcotest.fail "net⇄net claim failed"
-              end)
-            c.ss)
-        c.ss;
-      (* Every net op vs every crash. *)
-      List.iter
-        (fun site ->
-          for pid = 0 to Model.System.n_processes c.sys - 1 do
-            incr checked;
-            let service, endpoint = site in
-            let net st = Model.System.apply_net c.sys st ~service ~endpoint ~kind:Model.Event.Drop in
-            let n1, st1 = opt_step net s in
-            let st1 = snd (Model.System.apply_fail c.sys st1 pid) in
-            let st2 = snd (Model.System.apply_fail c.sys s pid) in
-            let n2, st2 = opt_step net st2 in
-            if not (Option.equal Model.Event.equal n1 n2 && Model.State.equal st1 st2)
-            then Alcotest.fail "net⇄crash claim failed"
-          done)
-        c.ss;
       (* The partition gate never holds back a claimed-independent task. *)
       if not (topology_gate_respects_independence c s) then
         Alcotest.fail "partition gate held back a claimed-independent task")
     states;
   Alcotest.(check bool) "exhaustive sweep nonvacuous" true (!checked > 1_000)
 
-(* --- differential oracles: --por/--static-prune vs the sequential run --- *)
+(* --- differential oracles: --static-prune and dedup vs the sequential run --- *)
 
 let config sys ~kinds ~max_faults ~budget =
   { (Chaos.Explore.default_config sys) with
@@ -349,60 +269,23 @@ let config sys ~kinds ~max_faults ~budget =
     max_steps = 4_000;
   }
 
-let violation_sig (v : Chaos.Explore.violation) =
-  ( Chaos.Schedule.to_string v.Chaos.Explore.schedule,
-    v.Chaos.Explore.monitor,
-    v.Chaos.Explore.reason,
-    v.Chaos.Explore.proven,
-    v.Chaos.Explore.steps,
-    v.Chaos.Explore.degraded_to )
-
-(* Every verdict-bearing field of the report; the prune counters themselves
-   (and dedup hits) are the only fields allowed to differ. *)
-let report_sig (r : Chaos.Explore.report) =
-  ( ( r.Chaos.Explore.examined,
-      r.Chaos.Explore.space,
-      r.Chaos.Explore.truncated,
-      r.Chaos.Explore.wall_truncated ),
-    ( r.Chaos.Explore.step_budget_hits,
-      r.Chaos.Explore.monitor_truncations,
-      r.Chaos.Explore.undelivered_crashes,
-      r.Chaos.Explore.undelivered_net,
-      r.Chaos.Explore.vacuous_net_faults ),
-    Option.map violation_sig r.Chaos.Explore.violation )
-
-let sig_testable =
-  Alcotest.testable
-    (fun ppf ((a, b, c, d), (e, f, g, h, i), v) ->
-      Format.fprintf ppf "examined=%d space=%d trunc=%b wall=%b budget=%d mtrunc=%d uc=%d un=%d vac=%d %s"
-        a b c d e f g h i
-        (match v with
-        | None -> "clean"
-        | Some (s, m, _, _, _, _) -> Printf.sprintf "violation %s [%s]" s m))
-    (fun a b -> a = b)
+let tob_mixed () =
+  let sys = tob3 () in
+  ( sys,
+    config sys ~kinds:[ Chaos.Schedule.Crash_k; Chaos.Schedule.Drop_k ] ~max_faults:1
+      ~budget:1_000_000 )
 
 let test_differential_tob_mixed () =
-  let sys = tob3 () in
-  let cfg =
-    config sys ~kinds:[ Chaos.Schedule.Crash_k; Chaos.Schedule.Drop_k ] ~max_faults:1
-      ~budget:1_000_000
-  in
+  let sys, cfg = tob_mixed () in
   let oracle = Chaos.Explore.run ~config:cfg sys in
   List.iter
     (fun j ->
       let par =
-        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false ~static_prune:true
-          ~por:true sys
+        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false ~static_prune:true sys
       in
-      Alcotest.check sig_testable
+      Alcotest.check report_sig_testable
         (Printf.sprintf "-j%d report matches the unpruned oracle" j)
-        (report_sig oracle) (report_sig par);
-      let pruned = par.Chaos.Explore.static_prunes + par.Chaos.Explore.por_prunes in
-      Alcotest.(check bool)
-        (Printf.sprintf "-j%d prune rate >= 20%% (%d/%d)" j pruned
-           par.Chaos.Explore.examined)
-        true
-        (5 * pruned >= par.Chaos.Explore.examined))
+        (report_sig oracle) (report_sig par))
     [ 1; 2 ]
 
 let test_differential_register_vote_truncated () =
@@ -418,92 +301,24 @@ let test_differential_register_vote_truncated () =
   List.iter
     (fun j ->
       let par =
-        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false ~static_prune:true
-          ~por:true sys
+        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false ~static_prune:true sys
       in
-      Alcotest.check sig_testable
+      Alcotest.check report_sig_testable
         (Printf.sprintf "-j%d truncated sweep matches the unpruned oracle" j)
         (report_sig oracle) (report_sig par))
     [ 1; 2 ]
 
-(* Mixed-kind spaces compose with dedup too: the fingerprint table and the
-   slide argument prune along different axes, and the verdict-bearing
-   fields still pin to the oracle (counters under dedup are documented to
-   undercount, so only the verdict and examined/space are compared). *)
-let test_mixed_por_dedup_compose () =
-  let sys = tob3 () in
-  let cfg =
-    config sys ~kinds:[ Chaos.Schedule.Crash_k; Chaos.Schedule.Drop_k ] ~max_faults:1
-      ~budget:1_000_000
-  in
+(* Mixed-kind spaces compose with dedup too: a pruned twin inherits its
+   recorded suffix's verdict and counters, so the whole report, violation
+   included, pins to the oracle. *)
+let test_mixed_dedup () =
+  let sys, cfg = tob_mixed () in
   let oracle = Chaos.Explore.run ~config:cfg sys in
   let par =
-    Chaos.Explore.run_par ~config:cfg ~domains:2 ~dedup:true ~static_prune:true ~por:true
-      sys
+    Chaos.Explore.run_par ~config:cfg ~domains:2 ~dedup:true ~static_prune:true sys
   in
-  Alcotest.(check (pair int (option (triple string string bool))))
-    "dedup+por verdict matches"
-    ( oracle.Chaos.Explore.examined,
-      Option.map
-        (fun (v : Chaos.Explore.violation) ->
-          ( Chaos.Schedule.to_string v.Chaos.Explore.schedule,
-            v.Chaos.Explore.monitor,
-            v.Chaos.Explore.proven ))
-        oracle.Chaos.Explore.violation )
-    ( par.Chaos.Explore.examined,
-      Option.map
-        (fun (v : Chaos.Explore.violation) ->
-          ( Chaos.Schedule.to_string v.Chaos.Explore.schedule,
-            v.Chaos.Explore.monitor,
-            v.Chaos.Explore.proven ))
-        par.Chaos.Explore.violation )
-
-(* --- satellite 2: seeded-mode RNG streams are POR-invariant --- *)
-
-let driver_sig (r : Chaos.Driver.report) =
-  ( ( r.Chaos.Driver.examined,
-      r.Chaos.Driver.space,
-      r.Chaos.Driver.step_budget_hits,
-      r.Chaos.Driver.monitor_truncations ),
-    ( r.Chaos.Driver.undelivered_crashes,
-      r.Chaos.Driver.undelivered_net,
-      r.Chaos.Driver.vacuous_net_faults,
-      r.Chaos.Driver.static_prunes,
-      r.Chaos.Driver.por_prunes ),
-    match r.Chaos.Driver.outcome with
-    | Chaos.Driver.Passed -> None
-    | Chaos.Driver.Violated { original; minimized; replayed; _ } ->
-      Some
-        ( Chaos.Schedule.to_string original.Chaos.Explore.schedule,
-          original.Chaos.Explore.monitor,
-          Option.map
-            (fun (m : Chaos.Explore.violation) ->
-              Chaos.Schedule.to_string m.Chaos.Explore.schedule)
-            minimized,
-          replayed ) )
-
-let test_seeded_por_invariant () =
-  let sys = tob2 () in
-  let mode =
-    Chaos.Driver.Seeded
-      {
-        seed = 42;
-        runs = 40;
-        max_faults = 2;
-        horizon = 12;
-        max_steps = 2_000;
-        kinds =
-          [ Chaos.Schedule.Crash_k; Chaos.Schedule.Drop_k; Chaos.Schedule.Partition_k ];
-        degrade = false;
-      }
-  in
-  let off = Chaos.Driver.run mode sys in
-  let on = Chaos.Driver.run ~static_prune:true ~por:true mode sys in
-  Alcotest.(check bool) "seeded reports byte-identical with POR on vs off" true
-    (driver_sig off = driver_sig on);
-  Alcotest.(check int) "seeded mode never statically prunes" 0
-    on.Chaos.Driver.static_prunes;
-  Alcotest.(check int) "seeded mode never POR-prunes" 0 on.Chaos.Driver.por_prunes
+  Alcotest.check report_sig_testable "dedup report matches the oracle" (report_sig oracle)
+    (report_sig par)
 
 let suite =
   ( "net-por",
@@ -513,17 +328,12 @@ let suite =
       qcheck_omission_task_sound "drop" Model.Event.Drop;
       qcheck_omission_task_sound "dup" Model.Event.Duplicate;
       qcheck_omission_task_sound "delay" (Model.Event.Delay 1);
-      qcheck_net_net_sound;
-      qcheck_net_crash_sound;
       qcheck_topology_task_sound;
       Alcotest.test_case "exhaustive small-G(C) order swaps" `Quick
         test_exhaustive_small_gc;
-      Alcotest.test_case "differential: tob mixed crash+drop, >=20% pruned" `Quick
+      Alcotest.test_case "differential: tob mixed crash+drop" `Quick
         test_differential_tob_mixed;
       Alcotest.test_case "differential: register-vote truncated all-kind sweep" `Quick
         test_differential_register_vote_truncated;
-      Alcotest.test_case "por composes with dedup on mixed kinds" `Quick
-        test_mixed_por_dedup_compose;
-      Alcotest.test_case "seeded RNG streams POR-invariant" `Quick
-        test_seeded_por_invariant;
+      Alcotest.test_case "dedup on mixed kinds matches the oracle" `Quick test_mixed_dedup;
     ] )
