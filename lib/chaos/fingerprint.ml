@@ -13,12 +13,8 @@ let equal a b =
 let hash k =
   let prime = 0x100000001b3 in
   let combine h x = (h lxor x) * prime in
-  combine (combine (combine 0x9e3779b9 k.cursor) k.obs) (Model.State.fingerprint k.state)
+  combine (combine (combine 0x9e3779b9 k.cursor) k.obs) (Model.State.hash k.state)
   land max_int
-
-let pp ppf k =
-  Format.fprintf ppf "cursor %d, obs %#x, state fp %#x" k.cursor k.obs
-    (Model.State.fingerprint k.state)
 
 module H = Hashtbl.Make (struct
   type t = key

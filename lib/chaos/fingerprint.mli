@@ -11,7 +11,7 @@
     - the observable event history so far ({!Model.Exec.obs_fingerprint},
       folded once per key — what end-of-run monitors such as linearizability can distinguish),
     - the exact global state ({!Model.State.t}, compared structurally, with
-      {!Model.State.fingerprint} as its hash).
+      its cached {!Model.State.hash} as its hash).
 
     Two runs reaching equal keys have identical continuations and identical
     monitor verdicts, so the second can be pruned. The state is stored and
@@ -28,7 +28,6 @@ val equal : key -> key -> bool
 (** Exact on cursor and state; fingerprint-exact on observable history. *)
 
 val hash : key -> int
-val pp : Format.formatter -> key -> unit
 
 (** Sharded visited table, safe for concurrent use from multiple domains.
     Each shard is an independent mutex-guarded hash table; keys map to the

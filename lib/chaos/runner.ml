@@ -26,13 +26,6 @@ let pp_stop ppf = function
   | Pruned ->
     Format.fprintf ppf "pruned (configuration already explored: verdict inherited)"
 
-module Tbl = Hashtbl.Make (struct
-  type t = int * Model.State.t
-
-  let equal (c1, s1) (c2, s2) = c1 = c2 && Model.State.equal s1 s2
-  let hash (c, s) = (c * 31) lxor Model.State.hash s
-end)
-
 let default_inputs sys =
   List.init (Model.System.n_processes sys) (fun i -> Ioa.Value.int (i mod 2))
 
@@ -119,7 +112,7 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
     | Seeded seed -> Some (Random.State.make [| seed; 0x1A7E |])
   in
   let cursor = ref 0 in
-  let seen = Tbl.create 256 in
+  let seen = Model.State.Cursor_tbl.create 16 in
   let truncs = ref [] in  (* newest first, reversed once by [finish] *)
   let vacuous = ref 0 in
   let finish exec steps stop =
@@ -176,8 +169,8 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
            is memoryless and the task order is deterministic. *)
         if active then begin
           let key = !cursor mod n_tasks, Model.Exec.last_state exec in
-          let prior = Tbl.find_opt seen key in
-          if prior = None then Tbl.replace seen key step;
+          let prior = Model.State.Cursor_tbl.find_opt seen key in
+          if prior = None then Model.State.Cursor_tbl.replace seen key step;
           Option.map (fun at -> step - at) prior
         end
         else None

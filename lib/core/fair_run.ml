@@ -5,27 +5,20 @@ let pp_outcome ppf = function
   | Lasso { period } -> Format.fprintf ppf "lasso (period %d): provably non-terminating" period
   | Budget -> Format.pp_print_string ppf "step budget exhausted"
 
-module Tbl = Hashtbl.Make (struct
-  type t = int * Model.State.t
-
-  let equal (c1, s1) (c2, s2) = c1 = c2 && Model.State.equal s1 s2
-  let hash (c, s) = (c * 31) lxor Model.State.hash s
-end)
-
 let run ?policy ?(max_steps = 200_000) ~goal (sys : Model.System.t) exec =
   let tasks = sys.Model.System.tasks in
   let n_tasks = Array.length tasks in
-  let seen = Tbl.create 1024 in
+  let seen = Model.State.Cursor_tbl.create 1024 in
   let rec go exec cursor step =
     let s = Model.Exec.last_state exec in
     if goal s then exec, Decided
     else if step >= max_steps then exec, Budget
     else begin
       let key = cursor, s in
-      match Tbl.find_opt seen key with
+      match Model.State.Cursor_tbl.find_opt seen key with
       | Some prior_step -> exec, Lasso { period = step - prior_step }
       | None ->
-        Tbl.replace seen key step;
+        Model.State.Cursor_tbl.replace seen key step;
         let exec =
           match Model.Exec.append_task ?policy sys exec tasks.(cursor) with
           | Some exec -> exec

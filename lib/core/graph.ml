@@ -1,20 +1,13 @@
-module StateTbl = Hashtbl.Make (struct
-  type t = Model.State.t
-
-  let equal = Model.State.equal
-  let hash = Model.State.hash
-end)
-
 type t = {
   system : Model.System.t;
   states : Model.State.t array;
-  index : int StateTbl.t;
+  index : int Model.State.Tbl.t;
   succs_arr : (Model.Task.t * int) list array;
   complete : bool;
 }
 
 let explore ?(max_states = 200_000) (sys : Model.System.t) start =
-  let index = StateTbl.create 1024 in
+  let index = Model.State.Tbl.create 1024 in
   let states = ref [] in
   let n_states = ref 0 in
   let succs = ref [] in
@@ -23,11 +16,11 @@ let explore ?(max_states = 200_000) (sys : Model.System.t) start =
   let queue = Queue.create () in
   let complete = ref true in
   let add_state s =
-    match StateTbl.find_opt index s with
+    match Model.State.Tbl.find_opt index s with
     | Some i -> i
     | None ->
       let i = !n_states in
-      StateTbl.replace index s i;
+      Model.State.Tbl.replace index s i;
       states := s :: !states;
       incr n_states;
       Queue.add s queue;
@@ -67,7 +60,7 @@ let complete g = g.complete
 let root _ = 0
 let state g i = g.states.(i)
 let succs g i = g.succs_arr.(i)
-let index_of g s = StateTbl.find_opt g.index s
+let index_of g s = Model.State.Tbl.find_opt g.index s
 
 let successor g i e =
   List.find_map

@@ -17,7 +17,7 @@ type t = { start : State.t; rev_steps : step list }
    internal and dummy events are deliberately excluded, so two executions
    that differ only in where a crash landed (or in no-op turns) share a
    fingerprint when their observable behaviour coincides. Order-sensitive;
-   same FNV-1a fold as {!State.fingerprint}. *)
+   a 63-bit FNV-1a fold. *)
 let obs_fp_seed = 0x0b5e4
 
 let obs_fp_event h =

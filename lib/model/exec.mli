@@ -72,7 +72,7 @@ val obs_fingerprint : t -> int
     waive verdicts based on them), in order. [Fail], internal and dummy
     events are excluded, so executions differing only in crash placement or
     no-op turns can share a fingerprint. Together with
-    {!State.fingerprint} of the final state this keys the chaos explorer's
+    {!State.hash} of the final state this keys the chaos explorer's
     cross-run dedup ([Chaos.Fingerprint]). O(length): folded over the
     history on each call. *)
 

@@ -6,40 +6,74 @@
     technical assumption that a [decide(v)_i] output records [v] in the state
     of [P_i], §2.2.1).
 
-    States are immutable; all updates copy. Equality, ordering and hashing
-    are structural, which is what the exploration engine memoizes on. *)
+    States are immutable; all updates copy. Equality and ordering are
+    structural, which is what the exploration engines memoize on. Each state
+    and each service carries its hash, computed once by {!make} or
+    {!make_svc} and kept current by every update: a state's hash is a sum
+    of one salted, mixed part per component (process value, service,
+    decision, input, failed set), so an update costs the hash of the
+    component it replaces, not a walk of the whole configuration. The
+    records are private: build them with {!make}, {!make_svc} and
+    {!svc_with_value}, and change them only through the updaters below. *)
 
 open Ioa
 
-type svc = {
+type svc = private {
   value : Value.t;  (** The service value [val]. *)
   inv_bufs : Value.t list array;
       (** [inv_buffer(i)], indexed by endpoint {e position} in the service's
           endpoint list; head = oldest. *)
   resp_bufs : Value.t list array;  (** [resp_buffer(i)], same indexing. *)
+  svc_hash : int;  (** Cached hash of the three fields above. *)
 }
 
-type t = {
+type t = private {
   procs : Value.t array;  (** Process program states, indexed by pid. *)
   svcs : svc array;  (** Service states, indexed by service position. *)
   failed : Spec.Iset.t;  (** Failed processes. *)
   decisions : Value.t option array;  (** Recorded decision per process. *)
   inputs : Value.t option array;  (** init(v) received per process. *)
+  hash : int;  (** Cached hash of the five fields above; read it with {!hash}. *)
 }
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
+val make :
+  procs:Value.t array ->
+  svcs:svc array ->
+  failed:Spec.Iset.t ->
+  decisions:Value.t option array ->
+  inputs:Value.t option array ->
+  t
+(** Builds a state and hashes it from scratch. The arrays are taken over,
+    not copied: the caller must not mutate them afterwards. *)
 
-val fingerprint : t -> int
-(** A cheap structural fingerprint of the configuration: a 63-bit FNV-1a
-    fold over the process states, the service states (value plus every
-    pending invocation/response buffer, with per-container sentinels so
-    adjacent buffers cannot alias), the failed set, and the recorded
-    decisions and inputs. [equal s1 s2] implies
-    [fingerprint s1 = fingerprint s2]; the converse holds up to 63-bit
-    collision. This is what the chaos explorer's cross-run visited sets key
-    on — see [Chaos.Fingerprint]. *)
+val make_svc :
+  value:Value.t -> inv_bufs:Value.t list array -> resp_bufs:Value.t list array -> svc
+(** Builds a service state and hashes it from scratch; arrays are taken
+    over as in {!make}. *)
+
+val svc_with_value : svc -> Value.t -> svc
+(** Replaces the service value. *)
+
+val equal : t -> t -> bool
+(** Structural equality. Physically equal states are equal; states whose
+    cached hashes differ are unequal; only the rest pay for {!compare}. *)
+
+val compare : t -> t -> int
+(** A total structural order on states, independent of the cached hash.
+    Components the two states share physically are not walked. *)
+
+val hash : t -> int
+(** The cached hash, non-negative: O(1). [equal s1 s2] implies
+    [hash s1 = hash s2]. Well mixed in its low bits, which [Hashtbl] uses;
+    the chaos explorer's visited sets and every state-keyed table hash
+    with it. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed on states (the vertices of G(C)). *)
+
+module Cursor_tbl : Hashtbl.S with type key = int * t
+(** Hash tables keyed on a round-robin cursor and a state: the lasso
+    detectors' seen-sets. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -60,22 +60,17 @@ let service_pos t id =
 
 let initial_state t =
   let n = Array.length t.processes in
-  {
-    State.procs = Array.map (fun (p : Process.t) -> p.Process.start) t.processes;
-    svcs =
-      Array.map
-        (fun (c : Service.t) ->
-          let m = Array.length c.Service.endpoints in
-          {
-            State.value = List.hd c.Service.gtype.Spec.General_type.initials;
-            inv_bufs = Array.make m [];
-            resp_bufs = Array.make m [];
-          })
-        t.services;
-    failed = Spec.Iset.empty;
-    decisions = Array.make n None;
-    inputs = Array.make n None;
-  }
+  State.make
+    ~procs:(Array.map (fun (p : Process.t) -> p.Process.start) t.processes)
+    ~svcs:
+      (Array.map
+         (fun (c : Service.t) ->
+           let m = Array.length c.Service.endpoints in
+           State.make_svc
+             ~value:(List.hd c.Service.gtype.Spec.General_type.initials)
+             ~inv_bufs:(Array.make m []) ~resp_bufs:(Array.make m []))
+         t.services)
+    ~failed:Spec.Iset.empty ~decisions:(Array.make n None) ~inputs:(Array.make n None)
 
 let apply_init t s i v =
   let p = t.processes.(i) in
@@ -195,7 +190,7 @@ let perform_transition t s ~pref ~svc ~endpoint:i =
          with
         | [] -> totality_error c "delta_inv"
         | (rmap, value') :: _ ->
-          let svc_state = { svc_state with State.value = value' } in
+          let svc_state = State.svc_with_value svc_state value' in
           let svc_state = apply_response_map c svc_state rmap in
           Some (Event.Perform (c.Service.id, i), State.with_svc s svc svc_state))
     in
@@ -241,7 +236,7 @@ let compute_transition t s ~pref ~svc ~glob =
     with
     | [] -> totality_error c "delta_glob"
     | (rmap, value') :: _ ->
-      let svc_state = { svc_state with State.value = value' } in
+      let svc_state = State.svc_with_value svc_state value' in
       let svc_state = apply_response_map c svc_state rmap in
       Some (Event.Compute (c.Service.id, glob), State.with_svc s svc svc_state)
   in

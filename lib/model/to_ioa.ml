@@ -34,18 +34,18 @@ let encode_state (s : State.t) =
 let decode_state (_sys : System.t) v =
   match Value.to_list v with
   | [ procs; svcs; failed; decisions; inputs ] ->
-    {
-      State.procs = Array.of_list (Value.to_list procs);
-      svcs =
-        Value.to_list svcs
+    State.make
+      ~procs:(Array.of_list (Value.to_list procs))
+      ~svcs:
+        (Value.to_list svcs
         |> List.map (fun t ->
              let value, inv, resp = Value.to_triple t in
-             { State.value; inv_bufs = decode_bufs inv; resp_bufs = decode_bufs resp })
-        |> Array.of_list;
-      failed = Spec.Iset.of_value failed;
-      decisions = Array.of_list (List.map decode_opt (Value.to_list decisions));
-      inputs = Array.of_list (List.map decode_opt (Value.to_list inputs));
-    }
+             State.make_svc ~value ~inv_bufs:(decode_bufs inv)
+               ~resp_bufs:(decode_bufs resp))
+        |> Array.of_list)
+      ~failed:(Spec.Iset.of_value failed)
+      ~decisions:(Array.of_list (List.map decode_opt (Value.to_list decisions)))
+      ~inputs:(Array.of_list (List.map decode_opt (Value.to_list inputs)))
   | _ -> raise (Value.Type_error "expected packed system state")
 
 (* --- Action dispatch --- *)

@@ -10,6 +10,19 @@ let iset_testable = Alcotest.testable Spec.Iset.pp Spec.Iset.equal
 
 let verdict_testable = Alcotest.testable Engine.Valence.pp_verdict Engine.Valence.equal_verdict
 
+(* A copy of a state built from scratch through fresh arrays: no component
+   is shared with the original, and every cached hash is recomputed. *)
+let rebuild_state (s : Model.State.t) =
+  let svc (c : Model.State.svc) =
+    Model.State.make_svc ~value:c.Model.State.value
+      ~inv_bufs:(Array.copy c.Model.State.inv_bufs)
+      ~resp_bufs:(Array.copy c.Model.State.resp_bufs)
+  in
+  Model.State.make ~procs:(Array.copy s.Model.State.procs)
+    ~svcs:(Array.map svc s.Model.State.svcs) ~failed:s.Model.State.failed
+    ~decisions:(Array.copy s.Model.State.decisions)
+    ~inputs:(Array.copy s.Model.State.inputs)
+
 (* QCheck generator for structural values, depth-bounded. *)
 let value_gen =
   let open QCheck2.Gen in

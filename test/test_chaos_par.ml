@@ -85,28 +85,29 @@ let test_differential_register_vote_all_kinds () =
 
 (* --- Satellite 2: fingerprint soundness --- *)
 
-(* Structurally equal configurations get equal fingerprints, even when
-   rebuilt through fresh arrays (no physical sharing). *)
+(* Structurally equal configurations get equal state hashes (the dedup
+   key's state component), even when rebuilt through fresh arrays (no
+   physical sharing). *)
 let test_fingerprint_structural () =
   let sys = Protocols.Direct.system ~n:2 ~f:1 in
   let schedule = Chaos.Schedule.make [ Chaos.Schedule.crash ~step:2 ~pid:1 ] in
   let r = Chaos.Runner.run ~schedule ~max_steps:500 sys in
   let s = Model.Exec.last_state (r.Chaos.Runner.exec) in
-  let rebuilt = Model.State.with_proc s 0 s.Model.State.procs.(0) in
+  let rebuilt = rebuild_state s in
   Alcotest.check state_testable "rebuilt state equal" s rebuilt;
-  Alcotest.(check int) "equal states, equal fingerprints" (Model.State.fingerprint s)
-    (Model.State.fingerprint rebuilt);
+  Alcotest.(check int) "equal states, equal hashes" (Model.State.hash s)
+    (Model.State.hash rebuilt);
   (* The observable-history fingerprint ignores crash placement. *)
   let obs = Model.Exec.obs_fingerprint r.Chaos.Runner.exec in
   let crashed = Model.Exec.append_fail sys r.Chaos.Runner.exec 0 in
   Alcotest.(check int) "obs fingerprint blind to fail events" obs
     (Model.Exec.obs_fingerprint crashed);
-  Alcotest.(check bool) "distinct decisions, distinct state fingerprints" true
-    (Model.State.fingerprint s
-    <> Model.State.fingerprint (Model.State.with_decision s 0 (Ioa.Value.int 7)))
+  Alcotest.(check bool) "distinct decisions, distinct state hashes" true
+    (Model.State.hash s
+    <> Model.State.hash (Model.State.with_decision s 0 (Ioa.Value.int 7)))
 
-(* Deterministic replay of the same schedule reaches fingerprint-identical
-   configurations at every prefix. *)
+(* Deterministic replay of the same schedule reaches configurations with
+   equal states, state hashes and observable-history fingerprints. *)
 let qcheck_fingerprint_replay =
   let gen = QCheck2.Gen.(pair (int_bound 5) (int_bound 1)) in
   qtest "equal exec prefixes have equal fingerprints" ~count:50 gen (fun (step, pid) ->
@@ -117,7 +118,7 @@ let qcheck_fingerprint_replay =
       let s1 = Model.Exec.last_state r1.Chaos.Runner.exec
       and s2 = Model.Exec.last_state r2.Chaos.Runner.exec in
       Model.State.equal s1 s2
-      && Model.State.fingerprint s1 = Model.State.fingerprint s2
+      && Model.State.hash s1 = Model.State.hash s2
       && Model.Exec.obs_fingerprint r1.Chaos.Runner.exec
          = Model.Exec.obs_fingerprint r2.Chaos.Runner.exec)
 

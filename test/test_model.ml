@@ -35,7 +35,7 @@ let test_state_hash_equal () =
   Alcotest.(check int) "compare zero" 0 (Model.State.compare s s')
 
 let test_svc_buffers () =
-  let svc = { Model.State.value = Value.unit; inv_bufs = [| [] |]; resp_bufs = [| [] |] } in
+  let svc = Model.State.make_svc ~value:Value.unit ~inv_bufs:[| [] |] ~resp_bufs:[| [] |] in
   let svc = Model.State.svc_push_inv svc ~pos:0 (Value.int 1) in
   let svc = Model.State.svc_push_inv svc ~pos:0 (Value.int 2) in
   (match Model.State.svc_pop_inv svc ~pos:0 with
@@ -51,13 +51,86 @@ let test_svc_buffers () =
   | None -> Alcotest.fail "resp pop")
 
 let test_svc_coalesce () =
-  let svc = { Model.State.value = Value.unit; inv_bufs = [| [] |]; resp_bufs = [| [] |] } in
+  let svc = Model.State.make_svc ~value:Value.unit ~inv_bufs:[| [] |] ~resp_bufs:[| [] |] in
   let svc = Model.State.svc_push_resp ~coalesce:true svc ~pos:0 (Value.int 1) in
   let svc = Model.State.svc_push_resp ~coalesce:true svc ~pos:0 (Value.int 1) in
   Alcotest.(check int) "duplicate tail coalesced" 1 (List.length svc.Model.State.resp_bufs.(0));
   let svc = Model.State.svc_push_resp ~coalesce:true svc ~pos:0 (Value.int 2) in
   let svc = Model.State.svc_push_resp ~coalesce:true svc ~pos:0 (Value.int 1) in
   Alcotest.(check int) "distinct values kept" 3 (List.length svc.Model.State.resp_bufs.(0))
+
+(* --- Incremental hash ---
+
+   Every update keeps the cached hash current by swapping one component's
+   part. Check it against a from-scratch hash on every state that seeded
+   chaos runs reach, across the whole registry and all six fault kinds, so
+   each [svc_*] updater and each state updater fires. *)
+
+module State_map = Map.Make (Model.State)
+
+let test_incremental_hash () =
+  let fired = Hashtbl.create 16 in
+  let fire kind = Hashtbl.replace fired kind () in
+  let seen = ref State_map.empty in
+  let states = ref 0 in
+  let check name sys (s : Model.State.t) =
+    incr states;
+    let r = rebuild_state s in
+    Array.iteri
+      (fun k (c : Model.State.svc) ->
+        if c.Model.State.svc_hash <> r.Model.State.svcs.(k).Model.State.svc_hash then
+          Alcotest.failf "%s: service %d hash drifted from its fields" name k)
+      s.Model.State.svcs;
+    if Model.State.hash s <> Model.State.hash r then
+      Alcotest.failf "%s: incremental hash differs from a rebuilt state's" name;
+    let d = Model.To_ioa.decode_state sys (Model.To_ioa.encode_state s) in
+    if not (Model.State.equal s d && Model.State.hash s = Model.State.hash d) then
+      Alcotest.failf "%s: hash lost across encode/decode" name;
+    match State_map.find_opt s !seen with
+    | Some h ->
+      if h <> Model.State.hash s then Alcotest.failf "%s: equal states, unequal hashes" name
+    | None -> seen := State_map.add s (Model.State.hash s) !seen
+  in
+  List.iter
+    (fun (e : Protocols.Registry.entry) ->
+      let defaults = Protocols.Registry.default_params in
+      let params = { defaults with n = max e.min_n defaults.n } in
+      let sys = e.build params in
+      seen := State_map.empty;
+      for seed = 0 to 23 do
+        let r, _ =
+          Chaos.Rand.run ~seed ~max_faults:3 ~silence_prob:0.3
+            ~kinds:Chaos.Schedule.all_kinds ~max_steps:200 sys
+        in
+        let exec = r.Chaos.Runner.exec in
+        check e.name sys exec.Model.Exec.start;
+        List.iter
+          (fun (st : Model.Exec.step) ->
+            (match st.Model.Exec.event with
+            | Model.Event.Net { kind = Model.Event.Drop; _ } -> fire "drop"
+            | Model.Event.Net { kind = Model.Event.Duplicate; _ } -> fire "dup"
+            | Model.Event.Net { kind = Model.Event.Delay _; _ } -> fire "delay"
+            | Model.Event.Partition _ -> fire "partition"
+            | Model.Event.Heal _ -> fire "heal"
+            | Model.Event.Fail _ -> fire "fail"
+            | Model.Event.Dummy _ -> fire "dummy"
+            | Model.Event.Decide _ -> fire "decide"
+            | Model.Event.Invoke _ -> fire "invoke"
+            | Model.Event.Perform _ -> fire "perform"
+            | Model.Event.Compute _ -> fire "compute"
+            | Model.Event.Respond _ -> fire "respond"
+            | Model.Event.Init _ | Model.Event.Proc_internal _ -> ());
+            check e.name sys st.Model.Exec.state)
+          (Model.Exec.steps exec)
+      done)
+    Protocols.Registry.all;
+  List.iter
+    (fun kind ->
+      if not (Hashtbl.mem fired kind) then
+        Alcotest.failf "no %s event fired: test is vacuous" kind)
+    [ "drop"; "dup"; "delay"; "partition"; "heal"; "fail"; "dummy"; "decide"; "invoke";
+      "perform"; "compute"; "respond" ];
+  Alcotest.(check bool) "walked many states" true (!states > 1000)
 
 (* --- Service descriptors --- *)
 
@@ -340,6 +413,7 @@ let suite =
       Alcotest.test_case "state hash/equal" `Quick test_state_hash_equal;
       Alcotest.test_case "service buffers" `Quick test_svc_buffers;
       Alcotest.test_case "coalescing" `Quick test_svc_coalesce;
+      Alcotest.test_case "incremental hash = rebuilt hash" `Quick test_incremental_hash;
       Alcotest.test_case "service descriptor" `Quick test_service_descriptor;
       Alcotest.test_case "register descriptor" `Quick test_register_descriptor;
       Alcotest.test_case "system validation" `Quick test_system_validation;

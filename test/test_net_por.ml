@@ -181,20 +181,12 @@ let qcheck_topology_task_sound =
 (* --- exhaustive order swaps over a small G(C) --- *)
 
 let reachable c ~cap =
-  let module Tbl = Hashtbl in
-  let seen = Tbl.create 256 in
-  let key s = Model.State.fingerprint s in
-  let mem s =
-    match Tbl.find_opt seen (key s) with
-    | Some states -> List.exists (Model.State.equal s) states
-    | None -> false
-  in
-  let add s = Tbl.replace seen (key s) (s :: Option.value (Tbl.find_opt seen (key s)) ~default:[]) in
+  let seen = Model.State.Tbl.create 256 in
   let out = ref [] in
   let queue = Queue.create () in
   let push s =
-    if (not (mem s)) && Tbl.length seen < cap then begin
-      add s;
+    if (not (Model.State.Tbl.mem seen s)) && Model.State.Tbl.length seen < cap then begin
+      Model.State.Tbl.replace seen s ();
       out := s :: !out;
       Queue.push s queue
     end

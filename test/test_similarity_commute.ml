@@ -28,7 +28,7 @@ let test_k_similarity_detects_service_difference () =
   let sys = Protocols.Direct.system ~n:2 ~f:0 in
   let s = Model.System.initialize sys (int_inputs [ 1; 0 ]) in
   let svc = s.Model.State.svcs.(0) in
-  let s' = Model.State.with_svc s 0 { svc with Model.State.value = Value.str "x" } in
+  let s' = Model.State.with_svc s 0 (Model.State.svc_with_value svc (Value.str "x")) in
   Alcotest.(check bool) "k-similar" true (E.Similarity.k_similar sys ~k:0 s s');
   (* A service-value difference is not hidden by any j. *)
   Alcotest.(check (list int)) "no j witnesses" [] (E.Similarity.j_witnesses sys s s')
