@@ -415,8 +415,8 @@ let chaos_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Systematic mode: explore with N parallel domains (each takes the next \
-             candidate from one shared counter; the merged report is deterministic). 1 \
-             keeps the sequential explorer.")
+             candidate from one shared counter; the merged report is deterministic and \
+             the same at every N).")
   in
   let dedup_arg =
     Arg.(
@@ -428,8 +428,8 @@ let chaos_cmd =
                 ~doc:
                   "Prune schedules whose configuration at activation was already explored, \
                    inheriting that run's verdict and counters (default). Systematic mode \
-                   only, where it engages with -j above 1 or with --static-prune; \
-                   otherwise it is ignored." );
+                   only. The report is unchanged; the prune count is written only by \
+                   --prune-stats-out." );
             (false, info [ "no-dedup" ] ~doc:"Run every candidate schedule, even reconverging ones.");
           ])
   in

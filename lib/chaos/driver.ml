@@ -78,14 +78,9 @@ let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(static_prune
   match mode with
   | Systematic config ->
     let r =
-      (* One domain keeps the trusted sequential path, byte-identical to the
-         pre-parallel engine and far leaner in memory; more domains (or the
-         static oracle) go through the deduplicated shared-counter explorer.
-         The explorer gets the caller's monitors verbatim — its static
-         oracle keys on the caller not overriding the (degrade-aware)
-         defaults. *)
-      if domains <= 1 && not static_prune then Explore.run ?monitors ~config ~stop sys
-      else Explore.run_par ?monitors ~config ~domains ~dedup ~static_prune ~stop sys
+      (* The explorer gets the caller's monitors verbatim: its static oracle
+         keys on the caller not overriding the (degrade-aware) defaults. *)
+      Explore.run_par ?monitors ~config ~domains ~dedup ~static_prune ~stop sys
     in
     let shrink_monitors =
       (* The shrinker must judge candidates by the same family the explorer
@@ -221,8 +216,6 @@ let pp_report ppf r =
     (if r.truncated then " — TRUNCATED: enumeration budget hit before exhausting the space"
      else "")
     (if r.wall_truncated then " — truncated: wall-clock" else "");
-  if r.dedup_hits > 0 then
-    Format.fprintf ppf "%d schedule(s) pruned by configuration fingerprint@," r.dedup_hits;
   if r.static_prunes > 0 then
     Format.fprintf ppf "%d schedule(s) statically pruned (proven clean, never executed)@,"
       r.static_prunes;

@@ -60,7 +60,9 @@ type report = {
           nothing, summed over runs. *)
   dedup_hits : int;
       (** Schedules pruned by configuration fingerprint (systematic mode
-          through {!Explore.run_par} with [dedup]; 0 otherwise). *)
+          with [dedup]; 0 otherwise). {!pp_report} does not print it: it
+          depends on cache evictions and domain timing, while every printed
+          line is the same with or without dedup at every domain count. *)
   static_prunes : int;
       (** Schedules skipped by the abstract-interpretation infeasibility
           oracle (systematic mode with [static_prune]; 0 otherwise). *)
@@ -77,12 +79,11 @@ val run :
   mode ->
   Model.System.t ->
   report
-(** [shrink] defaults to true. [domains] (default 1) > 1 or [static_prune]
-    (default false) routes systematic exploration through
-    {!Explore.run_par} with [dedup] (default true), whose report equals the
-    sequential one in every field but the prune counts; otherwise the
-    sequential {!Explore.run} path is kept, byte-identical to the
-    pre-parallel engine. Seeded mode ignores all three.
+(** [shrink] defaults to true. Systematic exploration runs
+    {!Explore.run_par} on [domains] (default 1) domains, with [dedup]
+    (default true) and [static_prune] (default false); its report equals
+    the plain sequential {!Explore.run}'s in every field but the prune
+    counts. Seeded mode ignores all three.
 
     [stop] (default never) is the wall-clock budget: polled between
     candidate schedules in every mode; once it returns true no further

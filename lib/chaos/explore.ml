@@ -241,7 +241,7 @@ let compare_found v1 v2 =
       let c = String.compare v1.reason v2.reason in
       if c <> 0 then c else Bool.compare v1.proven v2.proven
 
-let merge ?(wall = false) ~space ~scheduled records =
+let merge ?(wall = false) ?into ~space ~scheduled records =
   (* The winner is the enumeration-least violation: minimal rank, then the
      lexicographically least schedule. A pure function of the record
      multiset, so merging is order-insensitive. *)
@@ -262,25 +262,36 @@ let merge ?(wall = false) ~space ~scheduled records =
      beyond the winning rank are not part of the report. *)
   let keep r = match winner with None -> true | Some (br, _) -> r.rank <= br in
   let kept = List.filter keep records in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 kept in
+  let prior f = match into with Some r -> f r | None -> 0 in
+  let sum before f = prior before + List.fold_left (fun acc r -> acc + f r) 0 kept in
   let wall_truncated = wall && winner = None in
   {
     examined =
       (match winner with
       | Some (br, _) -> br + 1
-      | None -> if wall_truncated then List.length records else scheduled);
+      | None ->
+        if wall_truncated then prior (fun r -> r.examined) + List.length records
+        else scheduled);
     space;
     truncated = (not wall_truncated) && winner = None && scheduled < space;
     wall_truncated;
-    step_budget_hits = sum (fun r -> if r.budget_hit then 1 else 0);
-    monitor_truncations = sum (fun r -> r.truncations);
-    undelivered_crashes = sum (fun r -> r.undelivered);
-    undelivered_net = sum (fun r -> r.undelivered_n);
-    vacuous_net_faults = sum (fun r -> r.vacuous);
-    dedup_hits = sum (fun r -> if r.deduped then 1 else 0);
-    static_prunes = sum (fun r -> if r.statically_pruned then 1 else 0);
+    step_budget_hits =
+      sum (fun r -> r.step_budget_hits) (fun r -> if r.budget_hit then 1 else 0);
+    monitor_truncations = sum (fun r -> r.monitor_truncations) (fun r -> r.truncations);
+    undelivered_crashes = sum (fun r -> r.undelivered_crashes) (fun r -> r.undelivered);
+    undelivered_net = sum (fun r -> r.undelivered_net) (fun r -> r.undelivered_n);
+    vacuous_net_faults = sum (fun r -> r.vacuous_net_faults) (fun r -> r.vacuous);
+    dedup_hits = sum (fun r -> r.dedup_hits) (fun r -> if r.deduped then 1 else 0);
+    static_prunes =
+      sum (fun r -> r.static_prunes) (fun r -> if r.statically_pruned then 1 else 0);
     violation = Option.map snd winner;
   }
+
+(* Ranks dealt to the pool per block. On one domain a block only batches
+   the pool call, and a small one keeps the block's records a negligible
+   part of the heap; each block on more domains pays a spawn and a join per
+   extra domain, which a larger block amortizes. *)
+let block_size ~domains = if domains <= 1 then 64 else 1_024
 
 let rec note_best best rank =
   let cur = Atomic.get best in
@@ -290,8 +301,7 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(static_prune = fa
     ?(stop = fun () -> false) (sys : Model.System.t) =
   let cfg = match config with Some c -> c | None -> default_config sys in
   let space = space_size sys cfg in
-  let candidates = Array.of_seq (Seq.take (max 0 cfg.budget) (schedules sys cfg)) in
-  let scheduled = Array.length candidates in
+  let scheduled = min (max 0 cfg.budget) space in
   let n_tasks = Array.length sys.Model.System.tasks in
   (* The static oracle keys on the caller NOT overriding the monitor family
      (its soundness argument covers the defaults, degrade-aware or not);
@@ -359,10 +369,9 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(static_prune = fa
          last + count + n_tasks + 2 <= cfg.max_steps)
   in
   let prefix =
-    (* The shared fault-free stem: every crash-only candidate under the
-       silencing adversary replays this prefix up to its first crash
-       (net-bearing candidates run whole; {!Runner.resumable} gates). Built
-       once, read-only across domains. *)
+    (* The shared fault-free stem: every candidate (all use the silencing
+       adversary) replays this prefix up to its first fault, so each run
+       resumes there. Built once, read-only across domains. *)
     if scheduled = 0 then None
     else
       Some
@@ -386,118 +395,137 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(static_prune = fa
       found = None;
     }
   in
-  let run_one rank =
+  let run_one rank schedule =
     (* Ranks at or past the best violating rank cannot affect the merged
        report; skipping them is the early-exit that makes the search stop. *)
     if rank >= Atomic.get best then None
-    else
-      let schedule = candidates.(rank) in
-      if prunable schedule then begin
-        (* Proven clean lasso: all faults delivered, no violation — exactly
-           what the concrete run would have recorded. Post-Q omissions land
-           on certified-empty buffers, hence the analytic vacuous count; a
-           net-bearing pruned run's monitor truncations equal the fault-free
-           (rank 0) run's — same histories, no net events — and are copied
-           from that record once the workers join. *)
-        let crash_only = Schedule.is_crash_only schedule in
-        let omissions =
-          List.length
-            (List.filter
-               (function
-                 | Schedule.Drop _ | Schedule.Duplicate _ | Schedule.Delay _ -> true
-                 | _ -> false)
-               schedule.Schedule.faults)
-        in
-        Some
+    else if prunable schedule then begin
+      (* Proven clean lasso: all faults delivered, no violation — exactly
+         what the concrete run would have recorded. Post-Q omissions land
+         on certified-empty buffers, hence the analytic vacuous count; a
+         net-bearing pruned run's monitor truncations equal the fault-free
+         (rank 0) run's — same histories, no net events — and are copied
+         from that record once its block's workers join. *)
+      let crash_only = Schedule.is_crash_only schedule in
+      let omissions =
+        List.length
+          (List.filter
+             (function
+               | Schedule.Drop _ | Schedule.Duplicate _ | Schedule.Delay _ -> true
+               | _ -> false)
+             schedule.Schedule.faults)
+      in
+      Some
+        {
+          (clean rank) with
+          vacuous = (if crash_only then 0 else omissions);
+          statically_pruned = true;
+          parent = not crash_only;
+        }
+    end
+    else begin
+      (* [keyed]: this run's activation key, step and truncation count, to
+         record its suffix on a lasso; [inherited]: the recorded suffix's
+         truncations a pruned twin adds to its own — the whole continuation
+         from an equal key is inherited, counters included. *)
+      let keyed = ref None and inherited = ref 0 in
+      let on_active =
+        if dedup then
+          Some
+            (fun ~step ~cursor ~truncations exec ->
+              let key = Fingerprint.key ~cursor exec in
+              match Fingerprint.Visited.find visited key with
+              | Some (suffix, suffix_truncs) when step + suffix <= cfg.max_steps ->
+                inherited := suffix_truncs;
+                `Prune
+              | _ ->
+                keyed := Some (key, step, truncations);
+                `Continue)
+        else None
+      in
+      let r =
+        Runner.run ~monitors:eff_monitors ~max_steps:cfg.max_steps ?on_active ?prefix
+          ~schedule sys
+      in
+      let truncations = List.length r.Runner.monitor_truncations in
+      let base =
+        {
+          (clean rank) with
+          truncations = truncations + !inherited;
+          undelivered = r.Runner.undelivered_crashes;
+          undelivered_n = r.Runner.undelivered_net;
+          vacuous = r.Runner.vacuous_net_faults;
+        }
+      in
+      Some
+        (match r.Runner.stop with
+        | Runner.Violation { monitor; reason; proven } ->
+          note_best best rank;
           {
-            (clean rank) with
-            vacuous = (if crash_only then 0 else omissions);
-            statically_pruned = true;
-            parent = not crash_only;
+            base with
+            found =
+              Some
+                { schedule; monitor; reason; proven; exec = r.Runner.exec;
+                  steps = r.Runner.steps;
+                  degraded_to = degraded_to_of cfg sys r.Runner.exec };
           }
-      end
-      else begin
-        (* [keyed]: this run's activation key, step and truncation count, to
-           record its suffix on a lasso; [inherited]: the recorded suffix's
-           truncations a pruned twin adds to its own — the whole continuation
-           from an equal key is inherited, counters included. *)
-        let keyed = ref None and inherited = ref 0 in
-        let on_active =
-          if dedup then
-            Some
-              (fun ~step ~cursor ~truncations exec ->
-                let key = Fingerprint.key ~cursor exec in
-                match Fingerprint.Visited.find visited key with
-                | Some (suffix, suffix_truncs) when step + suffix <= cfg.max_steps ->
-                  inherited := suffix_truncs;
-                  `Prune
-                | _ ->
-                  keyed := Some (key, step, truncations);
-                  `Continue)
-          else None
-        in
-        let r =
-          Runner.run ~monitors:eff_monitors ~max_steps:cfg.max_steps ?on_active ?prefix
-            ~schedule sys
-        in
-        let truncations = List.length r.Runner.monitor_truncations in
-        let base =
-          {
-            (clean rank) with
-            truncations = truncations + !inherited;
-            undelivered = r.Runner.undelivered_crashes;
-            undelivered_n = r.Runner.undelivered_net;
-            vacuous = r.Runner.vacuous_net_faults;
-          }
-        in
-        Some
-          (match r.Runner.stop with
-          | Runner.Violation { monitor; reason; proven } ->
-            note_best best rank;
-            {
-              base with
-              found =
-                Some
-                  { schedule; monitor; reason; proven; exec = r.Runner.exec;
-                    steps = r.Runner.steps;
-                    degraded_to = degraded_to_of cfg sys r.Runner.exec };
-            }
-          | Runner.Lasso _ ->
-            (* Only proven-quiescent clean runs seed the visited table: a
-               pruned twin would provably replay this suffix to the same
-               verdict and counters (its step budget permitting — hence the
-               suffix guard above). Budget-bounded clean runs are never
-               recorded, so a cutoff at a different point can never be
-               inherited. *)
-            (match !keyed with
-            | Some (key, act, at_act) ->
-              Fingerprint.Visited.add visited key ~suffix_steps:(r.Runner.steps - act)
-                ~suffix_truncations:(truncations - at_act)
-            | None -> ());
-            base
-          | Runner.Budget -> { base with budget_hit = true }
-          | Runner.Pruned -> { base with deduped = true })
-      end
+        | Runner.Lasso _ ->
+          (* Only proven-quiescent clean runs seed the visited cache: a
+             pruned twin would provably replay this suffix to the same
+             verdict and counters (its step budget permitting — hence the
+             suffix guard above). Budget-bounded clean runs are never
+             recorded, so a cutoff at a different point can never be
+             inherited. *)
+          (match !keyed with
+          | Some (key, act, at_act) ->
+            Fingerprint.Visited.add visited key ~suffix_steps:(r.Runner.steps - act)
+              ~suffix_truncations:(truncations - at_act)
+          | None -> ());
+          base
+        | Runner.Budget -> { base with budget_hit = true }
+        | Runner.Pruned -> { base with deduped = true })
+    end
   in
   (* Wall-clock budget expired: the pool hands out no further rank and the
      records so far merge into a wall-truncated report. *)
   let wall_stopped = Atomic.make false in
   let stop () = stop () && (Atomic.set wall_stopped true; true) in
-  let records =
-    Array.map Option.join (Analysis.Pool.map ~stop ~jobs:domains scheduled run_one)
-  in
   (* A net-bearing statically pruned record adopts the fault-free rank-0
-     run's monitor truncations (rank 0 is never statically pruned). Ranks
-     are dealt in increasing order, so rank 0 has a record whenever any
-     rank does. *)
-  (match if scheduled > 0 then records.(0) else None with
-  | Some r0 ->
-    Array.iteri
-      (fun i -> function
-        | Some ({ parent = true; _ } as r) ->
-          records.(i) <- Some { r with truncations = r0.truncations }
-        | _ -> ())
-      records
-  | None -> ());
-  merge ~wall:(Atomic.get wall_stopped) ~space ~scheduled
-    (List.filter_map Fun.id (Array.to_list records))
+     run's monitor truncations (rank 0 is never statically pruned). Rank 0
+     opens the first block, so it has a record whenever any rank does. *)
+  let rank0_truncations = ref 0 in
+  let adopt r = if r.parent then { r with truncations = !rank0_truncations } else r in
+  (* The candidate stream, shared by the pool's domains without a lock: a
+     domain forces the next node and claims it by swinging the cursor past
+     it, retrying if another domain claimed it first. Forcing a node twice is
+     harmless, since {!schedules} is pure. *)
+  let cursor = Atomic.make (0, schedules sys cfg) in
+  let rec next () =
+    let ((rank, candidates) as seen) = Atomic.get cursor in
+    match candidates () with
+    | Seq.Nil -> None
+    | Seq.Cons (schedule, rest) ->
+      if Atomic.compare_and_set cursor seen (rank + 1, rest) then Some (rank, schedule)
+      else next ()
+  in
+  (* The stream goes through the pool one block of ranks at a time, each
+     block's records merged into the report over all earlier ranks; a
+     violation ends the scan after its block, since every later rank is
+     larger than the winner's. *)
+  let rec sweep into base =
+    let n = min (block_size ~domains) (scheduled - base) in
+    let records =
+      Analysis.Pool.map ~stop ~jobs:domains n (fun _ ->
+          Option.bind (next ()) (fun (rank, schedule) -> run_one rank schedule))
+    in
+    let records = List.filter_map Option.join (Array.to_list records) in
+    if base = 0 then
+      List.iter (fun r -> if r.rank = 0 then rank0_truncations := r.truncations) records;
+    let report =
+      merge ~wall:(Atomic.get wall_stopped) ?into ~space ~scheduled:(base + n)
+        (List.map adopt records)
+    in
+    if n = 0 || Option.is_some report.violation || report.wall_truncated then report
+    else sweep (Some report) (base + n)
+  in
+  sweep None 0

@@ -67,7 +67,10 @@ type report = {
   dedup_hits : int;
       (** Schedules pruned by configuration fingerprint ({!run_par} with
           dedup): counted as examined — their verdict is inherited from an
-          equivalent already-run configuration. Always 0 for {!run}. *)
+          equivalent already-run configuration. Always 0 for {!run}. The
+          count depends on the visited cache's evictions and, above one
+          domain, on timing, so no printed report shows it: [boost chaos]
+          writes it only to its [--prune-stats-out] file. *)
   static_prunes : int;
       (** Schedules skipped without any concrete execution because the
           abstract-interpretation oracle ({!Analysis.Prune.clean_from})
@@ -98,24 +101,25 @@ val run :
   ?stop:(unit -> bool) ->
   Model.System.t ->
   report
-(** The sequential explorer — the trusted oracle the parallel engine is
-    differentially tested against. Single-domain, no dedup, first violation
-    in enumeration order wins. [stop] is polled once per candidate; once it
-    returns true the scan ends immediately and the report is marked
-    [wall_truncated]. *)
+(** The plain sequential explorer: single-domain, no dedup, no shared
+    prefix, first violation in enumeration order wins. No command runs it;
+    it is the trusted oracle {!run_par} is differentially tested against.
+    [stop] is polled once per candidate; once it returns true the scan ends
+    immediately and the report is marked [wall_truncated]. *)
 
-(** {1 Parallel exploration}
+(** {1 The explorer}
 
-    {!run_par} distributes the same candidate enumeration over OCaml 5
-    domains ({!Analysis.Pool}): each domain takes the lowest rank
-    (enumeration index) not yet handed out from one shared atomic counter,
-    each rank's record lands in a rank-indexed slot, and the records are
-    merged deterministically — counters are summed
-    over ranks at most the winning rank, and the winning violation is the
-    rank-least (then lexicographically least) one, so the merged report is
-    identical to {!run}'s regardless of interleaving. The one exception is
-    [dedup_hits]: which twin of a reconverging pair runs first, and so
-    which one is pruned, depends on the interleaving.
+    {!run_par} is the one explorer the chaos driver runs, at every domain
+    count. It streams the candidate enumeration in blocks of ranks
+    (enumeration indices): each block goes through {!Analysis.Pool}, whose
+    domains take the lowest rank not yet handed out from one shared atomic
+    counter, and the block's records are {!merge}d into the report over
+    every earlier rank. Counters are summed over ranks at most the winning
+    rank, and the winning violation is the rank-least (then
+    lexicographically least) one, so the report is identical to {!run}'s
+    regardless of interleaving, and a violation ends the scan after its
+    block. Memory stays bounded by one block, whatever the space size. The
+    one field that differs from {!run}'s is [dedup_hits].
 
     With [dedup] (default on), each run fingerprints its configuration at
     schedule activation ({!Fingerprint.key}: round-robin cursor, observable
@@ -123,10 +127,16 @@ val run :
     proven quiescent by a lasso run is pruned and inherits that run's whole
     continuation: its verdict and the monitor truncations its suffix
     recorded, which the pruned run adds to its own up to activation. The
-    report therefore equals {!run}'s in every field but [dedup_hits].
-    Exploration always runs the round-robin interleaving, where a run's
-    continuation is a function of cursor and state; seeded chaos mode never
-    dedups. *)
+    visited set is {!Fingerprint.Visited}, a fixed-size lock-free cache: an
+    eviction costs a later hit, never a wrong prune. The report therefore
+    equals {!run}'s in every field but [dedup_hits], which depends on which
+    twin of a reconverging pair ran first and on evictions. Exploration
+    always runs the round-robin interleaving, where a run's continuation is
+    a function of cursor and state; seeded chaos mode never dedups.
+
+    Every candidate resumes from the shared fault-free stem
+    ({!Runner.prefix}) at its first fault's step: before it, each candidate
+    coincides with the fault-free run. *)
 
 type run_record = {
   rank : int;  (** Enumeration index of the candidate schedule. *)
@@ -141,18 +151,22 @@ type run_record = {
           counters were recorded without executing the run. *)
   parent : bool;
       (** A net-bearing static prune, whose monitor truncations are those of
-          rank 0 (the fault-free run) and are copied from that record once
-          every rank has run, before {!merge}. *)
+          rank 0 (the fault-free run) and are copied from that record before
+          its block is merged. *)
   found : violation option;
 }
 (** One run's result, the unit {!merge} operates on. *)
 
-val merge : ?wall:bool -> space:int -> scheduled:int -> run_record list -> report
+val merge :
+  ?wall:bool -> ?into:report -> space:int -> scheduled:int -> run_record list -> report
 (** Deterministic, order-insensitive merge: any shuffling of the records
     yields the identical report. [scheduled] is the number of ranks dealt
-    out, i.e. [min budget space]. With [wall] (default false) and no winning
-    violation, the report is marked [wall_truncated] and [examined] counts
-    the records actually produced. *)
+    out so far, i.e. [min budget space] once the last block is dealt. With
+    [wall] (default false) and no winning violation, the report is marked
+    [wall_truncated] and [examined] counts the records actually produced.
+    [into], if given, is the merged report over every rank below this
+    block's, none of which violated: its counters are added to the
+    block's. *)
 
 val run_par :
   ?monitors:Monitor.t list ->
@@ -164,7 +178,8 @@ val run_par :
   Model.System.t ->
   report
 (** [domains] defaults to 1 (same pool, no spawned domains);
-    [dedup] defaults to true.
+    [dedup] defaults to true. [stop] is polled before each rank, as
+    {!run} polls it before each candidate.
 
     With [static_prune] (default false), the abstract-interpretation oracle
     {!Analysis.Prune.clean_from} certifies a quiescence step Q once per

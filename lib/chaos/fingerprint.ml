@@ -16,39 +16,20 @@ let hash k =
   combine (combine (combine 0x9e3779b9 k.cursor) k.obs) (Model.State.hash k.state)
   land max_int
 
-module H = Hashtbl.Make (struct
-  type t = key
-
-  let equal = equal
-  let hash = hash
-end)
-
 module Visited = struct
-  type shard = { lock : Mutex.t; tbl : (int * int) H.t }
-  type t = shard array
+  type entry = { key : key; suffix_steps : int; suffix_truncations : int }
+  type t = entry option Atomic.t array
 
-  let create ?(shards = 64) () =
-    Array.init (max 1 shards) (fun _ -> { lock = Mutex.create (); tbl = H.create 64 })
+  let create ?(slots = 64) () =
+    Array.init (max 1 slots) (fun _ -> Atomic.make None)
 
-  let shard (t : t) k = t.(hash k mod Array.length t)
-
-  let with_lock s f =
-    Mutex.lock s.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+  let slot (t : t) k = t.(hash k mod Array.length t)
 
   let find t k =
-    let s = shard t k in
-    with_lock s (fun () -> H.find_opt s.tbl k)
+    match Atomic.get (slot t k) with
+    | Some e when equal e.key k -> Some (e.suffix_steps, e.suffix_truncations)
+    | _ -> None
 
-  let add t k ~suffix_steps ~suffix_truncations =
-    let s = shard t k in
-    with_lock s (fun () ->
-        (* Keep the largest recorded suffix: pruning guards on
-           [step + suffix <= max_steps], so a larger suffix only makes the
-           guard more conservative when histories disagree. *)
-        match H.find_opt s.tbl k with
-        | Some (prior, _) when prior >= suffix_steps -> ()
-        | _ -> H.replace s.tbl k (suffix_steps, suffix_truncations))
-
-  let size t = Array.fold_left (fun acc s -> acc + H.length s.tbl) 0 t
+  let add t key ~suffix_steps ~suffix_truncations =
+    Atomic.set (slot t key) (Some { key; suffix_steps; suffix_truncations })
 end

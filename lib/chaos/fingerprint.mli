@@ -29,27 +29,34 @@ val equal : key -> key -> bool
 
 val hash : key -> int
 
-(** Sharded visited table, safe for concurrent use from multiple domains.
-    Each shard is an independent mutex-guarded hash table; keys map to the
-    recorded run's suffix length (steps from the key to its proven-quiescent
-    lasso), which callers use to guard pruning against step-budget cutoffs,
-    and to the monitor truncations that suffix recorded, which a pruned twin
-    inherits. *)
+(** The visited cache: a fixed array of slots, each an [Atomic.t] holding at
+    most one immutable entry, so domains share it without locks
+    (state-space caching: Godefroid, Holzmann & Pirottin, CAV 1992). A key
+    lives in the slot its {!hash} selects, and adding a key overwrites
+    whatever the slot held. An eviction only loses a future hit, never
+    admits a wrong prune: {!find} answers only for a key {!equal} to the
+    stored one. Each entry carries the recorded run's suffix length (steps
+    from the key to its proven-quiescent lasso), which callers use to guard
+    pruning against step-budget cutoffs, and the monitor truncations that
+    suffix recorded, which a pruned twin inherits. Both are functions of the
+    key: the runner's lasso table starts at activation, where the key is
+    taken. *)
 module Visited : sig
   type t
 
-  val create : ?shards:int -> unit -> t
-  (** Default 64 shards. *)
+  val create : ?slots:int -> unit -> t
+  (** [slots] (at least 1) defaults to 64, the largest count whose
+      entries keep the register-vote all-kinds sweep's peak heap within
+      10% of an explorer without a cache (EXPERIMENTS.md, "One streaming
+      explorer"). *)
 
   val find : t -> key -> (int * int) option
-  (** The recorded suffix length and suffix truncation count, if this
-      configuration was seen. *)
+  (** The recorded suffix length and suffix truncation count, if the slot
+      for this key holds this very configuration. *)
 
   val add : t -> key -> suffix_steps:int -> suffix_truncations:int -> unit
   (** Record a configuration whose continuation ran [suffix_steps] steps to a
       proven-quiescent end, recording [suffix_truncations] monitor
-      truncations on the way (end-of-run checks included). Keeps the entry
-      with the largest suffix on duplicate insert. *)
-
-  val size : t -> int
+      truncations on the way (end-of-run checks included). Overwrites the
+      key's slot. *)
 end

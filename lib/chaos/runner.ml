@@ -31,13 +31,15 @@ let default_inputs sys =
 
 (* The fault-free round-robin prefix, shared across candidate schedules.
 
-   Every crash-only schedule under the silencing adversary behaves
-   identically until its first crash is delivered: no process has failed, so
-   no dummy action is enabled and the preference policy cannot bite
-   (§2.1.3), and the task order is the deterministic round-robin. [prefix]
+   Every schedule under the silencing adversary without overrides behaves
+   identically until the step of its first fault: no delivery is due, so
+   every turn is the round-robin task at cursor = step; no partition has
+   begun, so no turn is held back; and no silence is active, so every task
+   resolves by the default [Prefer_dummy] — which cannot bite anyway, since
+   no process has failed and no dummy action is enabled (§2.1.3). [prefix]
    walks that common execution once — with the same per-step safety-monitor
    checks a real run performs — and snapshots every prefix, so {!run} can
-   resume a candidate at its first crash step instead of re-executing the
+   resume a candidate at its first fault step instead of re-executing the
    shared stem. Executions are immutable, so the snapshots alias one spine
    and the whole cache is safe to share across domains read-only. *)
 type prefix = {
@@ -92,12 +94,11 @@ let prefix ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ~steps
   walk (Model.Exec.initialized sys inputs) [] 0
 
 (* A schedule may resume from the shared prefix only when its own prefix
-   provably coincides with it: deterministic task order, crashes only, the
-   same (silencing) adversary, no overrides. *)
+   provably coincides with it: the same (silencing) adversary and no
+   overrides. The deterministic task order is checked at the resume site. *)
 let resumable schedule =
   schedule.Schedule.overrides = []
   && schedule.Schedule.default_pref = Model.System.Prefer_dummy
-  && Schedule.n_crashes schedule = List.length schedule.Schedule.faults
 
 let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = Round_robin)
     ?inputs ?on_active ?prefix ~schedule (sys : Model.System.t) =
@@ -226,13 +227,10 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
     end
   in
   let resume =
-    (* Resume from the shared fault-free prefix at the first crash step,
+    (* Resume from the shared fault-free prefix at the first fault's step,
        when the schedule's own prefix provably coincides with it. *)
-    match prefix, interleave with
-    | Some p, Round_robin when resumable schedule -> (
-      match Schedule.crashes schedule with
-      | [] -> None
-      | (s, _) :: _ -> Some (p, s))
+    match prefix, interleave, schedule.Schedule.faults with
+    | Some p, Round_robin, f :: _ when resumable schedule -> Some (p, Schedule.step f)
     | _ -> None
   in
   match resume with
@@ -240,7 +238,7 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
   | Some (p, s) -> (
     match p.p_cut with
     | Some (`Violation (exec, v, monitor, reason, tr)) when s >= v ->
-      (* The shared prefix violates safety before the first crash can land:
+      (* The shared prefix violates safety before the first fault can land:
          this run ends exactly there. *)
       truncs := tr;
       finish exec v (Violation { monitor; reason; proven = true })
@@ -251,7 +249,7 @@ let run ?(monitors = Monitor.defaults ()) ?(max_steps = 20_000) ?(interleave = R
       let k = min s p.p_filled in
       let exec, tr = p.p_snaps.(k) in
       truncs := tr;
-      (* [cursor = step] through a fault-free prefix: crash deliveries are
-         the only turns that do not consume a task. *)
+      (* [cursor = step] through a fault-free prefix: every turn consumes a
+         task, since no delivery is due and no partition holds one back. *)
       cursor := k;
       go exec k)

@@ -47,12 +47,14 @@ val default_inputs : Model.System.t -> Ioa.Value.t list
 
 type prefix
 (** The shared fault-free round-robin prefix of an exploration: every
-    crash-only candidate under the silencing adversary behaves identically
-    until its first crash is delivered (no failures, so no dummy action is
-    enabled and the preference policy cannot bite, §2.1.3). Built once with
-    {!val-prefix} and passed to {!run}, which then resumes each candidate at
-    its first crash step instead of re-executing the common stem. Immutable
-    after construction; safe to share across domains. *)
+    candidate under the silencing adversary without overrides behaves
+    identically until the step of its first fault, whatever the fault's
+    kind: no delivery is due, so the cursor equals the step; no partition
+    has begun; and no silence is active, while without a failure no dummy
+    action is enabled for the default preference to pick (§2.1.3). Built
+    once with {!val-prefix} and passed to {!run}, which then resumes each
+    candidate at its first fault's step instead of re-executing the common
+    stem. Immutable after construction; safe to share across domains. *)
 
 val prefix :
   ?monitors:Monitor.t list ->
@@ -63,7 +65,7 @@ val prefix :
 (** Walk the fault-free round-robin execution up to [steps] steps,
     performing the same per-step safety-monitor checks as {!run} and
     snapshotting every prefix. The walk stops early at a safety violation or
-    at [max_steps]; runs whose first crash lands at or past the stop end
+    at [max_steps]; runs whose first fault lands at or past the stop end
     identically and inherit the recorded outcome. Must be built with the
     same [monitors] and [max_steps] the runs it serves use, and serve only
     runs on {!default_inputs} — resuming is unsound otherwise. *)
@@ -94,6 +96,7 @@ val run :
     probe-free runner.
 
     [prefix] is consulted only under [Round_robin], and only for schedules
-    whose own prefix provably coincides with the shared one (crashes only,
-    silencing adversary, no overrides); it changes the cost, never the
+    whose own prefix provably coincides with the shared one (at least one
+    fault, silencing adversary, no overrides; the faults sorted by step, as
+    {!Schedule.make} leaves them); it changes the cost, never the
     result. *)

@@ -138,6 +138,83 @@ let qcheck_dedup_preserves_verdicts =
       let ded = Chaos.Explore.run_par ~config ~domains:1 ~dedup:true sys in
       report_sig plain = report_sig ded)
 
+(* --- Stem resume: a run resumed from the shared fault-free prefix is the
+   full run --- *)
+
+(* Every candidate of the space, run from scratch and resumed at its first
+   fault's step, must agree on everything a report or a witness reads. *)
+let check_stem_resume name sys config =
+  let max_steps = config.Chaos.Explore.max_steps in
+  let monitors = Chaos.Monitor.defaults () in
+  let prefix =
+    Chaos.Runner.prefix ~monitors ~max_steps
+      ~steps:(config.Chaos.Explore.horizon - 1)
+      sys
+  in
+  let count = ref 0 and mismatches = ref [] in
+  Seq.iter
+    (fun schedule ->
+      incr count;
+      let full = Chaos.Runner.run ~monitors ~max_steps ~schedule sys in
+      let resumed = Chaos.Runner.run ~monitors ~max_steps ~prefix ~schedule sys in
+      let same what agree =
+        if not agree then
+          mismatches :=
+            Printf.sprintf "[%s] %s" (Chaos.Schedule.to_string schedule) what :: !mismatches
+      in
+      let open Chaos.Runner in
+      same "events"
+        (List.equal Model.Event.equal (Model.Exec.events full.exec)
+           (Model.Exec.events resumed.exec));
+      same "steps" (full.steps = resumed.steps);
+      same "stop" (full.stop = resumed.stop);
+      same "truncations" (full.monitor_truncations = resumed.monitor_truncations);
+      same "undelivered crashes" (full.undelivered_crashes = resumed.undelivered_crashes);
+      same "undelivered net" (full.undelivered_net = resumed.undelivered_net);
+      same "vacuous" (full.vacuous_net_faults = resumed.vacuous_net_faults))
+    (Chaos.Explore.schedules sys config);
+  Alcotest.(check int) (name ^ ": whole space run")
+    (Chaos.Explore.space_size sys config) !count;
+  Alcotest.(check (list string)) (name ^ ": resumed runs that differ") []
+    (List.filteri (fun i _ -> i < 5) (List.rev !mismatches))
+
+let test_stem_resume () =
+  let direct = Protocols.Direct.system ~n:2 ~f:1 in
+  check_stem_resume "direct all kinds" direct
+    { (Chaos.Explore.default_config direct) with
+      Chaos.Explore.max_faults = 2;
+      kinds = all_kinds;
+      budget = 100_000;
+    };
+  let vote = Protocols.Register_vote.system () in
+  check_stem_resume "register-vote all kinds" vote
+    { (Chaos.Explore.default_config vote) with Chaos.Explore.kinds = all_kinds }
+
+(* --- The visited cache: a slot holds one key, and only that key hits --- *)
+
+let test_visited_slots () =
+  let module V = Chaos.Fingerprint.Visited in
+  let sys = Protocols.Direct.system ~n:2 ~f:1 in
+  let exec = (Chaos.Runner.run ~schedule:Chaos.Schedule.empty ~max_steps:200 sys).Chaos.Runner.exec in
+  let k1 = Chaos.Fingerprint.key ~cursor:0 exec in
+  let k1' = Chaos.Fingerprint.key ~cursor:0 exec in
+  let k2 = Chaos.Fingerprint.key ~cursor:1 exec in
+  let k3 = Chaos.Fingerprint.key ~cursor:0 (Model.Exec.append_fail sys exec 0) in
+  let found = Alcotest.(option (pair int int)) in
+  let v = V.create ~slots:1 () in
+  Alcotest.check found "empty cache misses" None (V.find v k1);
+  V.add v k1 ~suffix_steps:5 ~suffix_truncations:1;
+  Alcotest.check found "stored key hits" (Some (5, 1)) (V.find v k1);
+  Alcotest.check found "an equal key built apart hits" (Some (5, 1)) (V.find v k1');
+  Alcotest.check found "another cursor in the same slot never matches" None (V.find v k2);
+  Alcotest.check found "another state in the same slot never matches" None (V.find v k3);
+  V.add v k2 ~suffix_steps:7 ~suffix_truncations:2;
+  Alcotest.check found "second key evicts the first" None (V.find v k1);
+  Alcotest.check found "second key hits" (Some (7, 2)) (V.find v k2);
+  V.add v k1 ~suffix_steps:9 ~suffix_truncations:3;
+  Alcotest.check found "re-added key returns its own suffix" (Some (9, 3)) (V.find v k1);
+  Alcotest.check found "and evicts the second" None (V.find v k2)
+
 (* --- Satellite 3: merging is associative / order-insensitive --- *)
 
 let qcheck_merge_order_insensitive =
@@ -251,6 +328,8 @@ let suite =
       qcheck_fingerprint_replay;
       qcheck_dedup_preserves_verdicts;
       qcheck_merge_order_insensitive;
+      Alcotest.test_case "stem resume = full run on every schedule" `Quick test_stem_resume;
+      Alcotest.test_case "visited cache: one key per slot" `Quick test_visited_slots;
       Alcotest.test_case "silent-budget regression (seq + par)" `Quick
         test_silent_budget_regression;
       Alcotest.test_case "driver -j parity" `Quick test_driver_parallel;
