@@ -295,18 +295,13 @@ let fd_network =
 let chaos_monitors protocol ~degrade =
   if protocol == fd_network then
     let output = Protocols.Fd_network.output_of in
-    Some
-      (Chaos.Monitor.safety ~degrade ()
-      @ [
-          Chaos.Monitor.fd_completeness ~output ();
-          Chaos.Monitor.fd_accuracy ~output ();
-          Chaos.Monitor.linearizability ~degrade ();
-        ])
-  else
-    (* No explicit monitors: the explorer resolves the (degrade-aware)
-       default family itself, keeping the static oracles engaged — they key
-       on the caller not overriding the defaults. *)
-    None
+    Chaos.Monitor.safety ~degrade ()
+    @ [
+        Chaos.Monitor.fd_completeness ~output ();
+        Chaos.Monitor.fd_accuracy ~output ();
+        Chaos.Monitor.linearizability ~degrade ();
+      ]
+  else Chaos.Monitor.defaults ~degrade ()
 
 let chaos_cmd =
   let protocol_arg =
@@ -442,16 +437,6 @@ let chaos_cmd =
             (false, info [ "no-shrink" ] ~doc:"Report the violating schedule as found.");
           ])
   in
-  let static_prune_arg =
-    Arg.(
-      value & flag
-      & info [ "static-prune" ]
-          ~doc:
-            "Systematic mode: skip schedules the abstract-interpretation analyzer proves \
-             infeasible as violations (faults landing after the certified quiescence \
-             step; network faults additionally need the empty-buffer certificate), \
-             without executing them. The report is unchanged except for the prune count.")
-  in
   let prune_stats_out_arg =
     Arg.(
       value
@@ -459,7 +444,7 @@ let chaos_cmd =
       & info [ "prune-stats-out" ] ~docv:"FILE"
           ~doc:
             "Systematic mode: write the exploration's prune statistics (examined, space, \
-             dedup/static prune counts, ...) to FILE as JSON.")
+             dedup prune count, ...) to FILE as JSON.")
   in
   let schedule_arg =
     Arg.(
@@ -485,7 +470,7 @@ let chaos_cmd =
              Off by default; crash-only reports are byte-identical without it.")
   in
   let run (protocol, params) faults max_faults seed runs max_steps horizon budget stride jobs
-      dedup shrink static_prune prune_stats_out schedule timeout witness_out degrade =
+      dedup shrink prune_stats_out schedule timeout witness_out degrade =
     let sys = protocol.Registry.build params in
     let monitors = chaos_monitors protocol ~degrade in
     let horizon =
@@ -503,11 +488,6 @@ let chaos_cmd =
           Format.eprintf "bad --schedule: %s@." e;
           3
         | Ok () -> (
-          (* A single explicit run bypasses the explorer's defaulting, so
-             resolve the (degrade-aware) default family here. *)
-          let monitors =
-            Option.value monitors ~default:(Chaos.Monitor.defaults ~degrade ())
-          in
           let r = Chaos.Runner.run ~monitors ~max_steps ~schedule sys in
           List.iter
             (fun (m, cat, why) ->
@@ -577,10 +557,7 @@ let chaos_cmd =
         !interrupted
         || match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
       in
-      let report =
-        Chaos.Driver.run ?monitors ~shrink ~domains:jobs ~dedup ~static_prune ~stop
-          mode sys
-      in
+      let report = Chaos.Driver.run ~monitors ~shrink ~domains:jobs ~dedup ~stop mode sys in
       Sys.set_signal Sys.sigint prev_sigint;
       Format.printf "%a@." Chaos.Driver.pp_report report;
       (match prune_stats_out with
@@ -594,7 +571,6 @@ let chaos_cmd =
             \  \"truncated\": %b,\n\
             \  \"wall_truncated\": %b,\n\
             \  \"dedup_hits\": %d,\n\
-            \  \"static_prunes\": %d,\n\
             \  \"step_budget_hits\": %d,\n\
             \  \"monitor_truncations\": %d,\n\
             \  \"vacuous_net_faults\": %d,\n\
@@ -602,7 +578,7 @@ let chaos_cmd =
              }\n"
             report.Chaos.Driver.examined report.Chaos.Driver.space
             report.Chaos.Driver.truncated report.Chaos.Driver.wall_truncated
-            report.Chaos.Driver.dedup_hits report.Chaos.Driver.static_prunes
+            report.Chaos.Driver.dedup_hits
             report.Chaos.Driver.step_budget_hits
             report.Chaos.Driver.monitor_truncations
             report.Chaos.Driver.vacuous_net_faults
@@ -640,7 +616,7 @@ let chaos_cmd =
     Term.(
       const run $ with_params protocol_arg $ faults_arg $ max_faults_arg $ seed_arg
       $ runs_arg $ max_steps_arg $ horizon_arg $ budget_arg $ stride_arg $ jobs_arg
-      $ dedup_arg $ shrink_arg $ static_prune_arg $ prune_stats_out_arg
+      $ dedup_arg $ shrink_arg $ prune_stats_out_arg
       $ schedule_arg $ timeout_arg $ witness_out_arg $ degrade_arg)
   in
   Cmd.v

@@ -21,10 +21,9 @@ type t = {
 module FP = Fixpoint.Make (Astate)
 module IMap = Map.Make (Iset)
 
-(* All F0 ∪ S with S drawn from the non-seed pids, |S| ≤ extra; seed first,
-   then by size, then lexicographic — a deterministic unknown order. *)
-let subsets ~n ~seed ~extra =
-  let free = List.filter (fun i -> not (Iset.mem i seed)) (List.init n Fun.id) in
+(* Every failed set of at most [extra] pids; the empty set first, then by
+   size, then lexicographic — a deterministic unknown order. *)
+let subsets ~n ~extra =
   let rec choose k lst =
     if k = 0 then [ [] ]
     else
@@ -32,8 +31,9 @@ let subsets ~n ~seed ~extra =
       | [] -> []
       | x :: rest -> List.map (fun c -> x :: c) (choose (k - 1) rest) @ choose k rest
   in
+  let pids = List.init n Fun.id in
   List.concat_map
-    (fun k -> List.map (fun s -> List.fold_left (fun f i -> Iset.add i f) seed s) (choose k free))
+    (fun k -> List.map Iset.of_list (choose k pids))
     (List.init (extra + 1) Fun.id)
 
 (* Post-fixpoint fact pass: rerun each transfer once against the solution
@@ -81,22 +81,25 @@ let harvest ~max_faults ~fsets ~values ~stats (sys : System.t) =
   in
   { sys; max_faults; infos; incidents = List.rev !incidents; stats }
 
-let solve ~max_faults ~seed_failed ~seed_astate (sys : System.t) =
+let default_inputs (sys : System.t) =
+  List.init (Array.length sys.System.processes) (fun i -> Value.int (i mod 2))
+
+let analyze ?(max_faults = 1) ?inputs (sys : System.t) =
+  let inputs = match inputs with Some l -> l | None -> default_inputs sys in
+  let seed_astate = Astate.of_state (System.initialize sys inputs) in
   let n = Array.length sys.System.processes in
-  let fsets = Array.of_list (subsets ~n ~seed:seed_failed ~extra:max_faults) in
+  let fsets = Array.of_list (subsets ~n ~extra:max_faults) in
   let index = Array.to_seq fsets |> Seq.mapi (fun i f -> f, i) |> IMap.of_seq in
   let crash_preds =
     Array.map
-      (fun f ->
-        Iset.elements (Iset.diff f seed_failed)
-        |> List.map (fun i -> IMap.find (Iset.remove i f) index))
+      (fun f -> Iset.elements f |> List.map (fun i -> IMap.find (Iset.remove i f) index))
       fsets
   in
   let dependents =
     Array.mapi
       (fun u f ->
         let supers =
-          if Iset.cardinal (Iset.diff f seed_failed) >= max_faults then []
+          if Iset.cardinal f >= max_faults then []
           else
             List.filter_map
               (fun i -> if Iset.mem i f then None else IMap.find_opt (Iset.add i f) index)
@@ -121,18 +124,6 @@ let solve ~max_faults ~seed_failed ~seed_astate (sys : System.t) =
       ~dependents:(fun u -> dependents.(u)) ()
   in
   harvest ~max_faults ~fsets ~values ~stats sys
-
-let default_inputs (sys : System.t) =
-  List.init (Array.length sys.System.processes) (fun i -> Value.int (i mod 2))
-
-let analyze ?(max_faults = 1) ?inputs (sys : System.t) =
-  let inputs = match inputs with Some l -> l | None -> default_inputs sys in
-  let start = System.initialize sys inputs in
-  solve ~max_faults ~seed_failed:Iset.empty ~seed_astate:(Astate.of_state start) sys
-
-let analyze_from ?(max_faults = 1) (state : Model.State.t) (sys : System.t) =
-  solve ~max_faults ~seed_failed:state.Model.State.failed
-    ~seed_astate:(Astate.of_state state) sys
 
 let seed_info t = t.infos.(0)
 
@@ -164,9 +155,3 @@ let dead_tasks t =
 
 let crash_interval t =
   Interval.hull (Array.to_list (Array.map (fun inf -> Iset.cardinal inf.failed) t.infos))
-
-let frozen t =
-  let a0 = (seed_info t).astate in
-  Array.for_all
-    (fun inf -> Astate.leq inf.astate a0 && inf.decides = [] && not inf.decide_havoc)
-    t.infos

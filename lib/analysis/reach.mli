@@ -1,12 +1,11 @@
 (** Abstract reachability over the failed-set powerset.
 
     The constraint system has one unknown per failed set F with
-    [seed ⊆ F] and [|F ∖ seed| ≤ max_faults] — the powerset-capped-by-f
-    domain of the crash adversary. Its value abstracts every concrete
-    configuration reachable in a context where exactly F has crashed:
+    [|F| ≤ max_faults] — the powerset-capped-by-f domain of the crash
+    adversary. Its value abstracts every concrete configuration reachable
+    in a context where exactly F has crashed:
 
-    - the seed unknown starts from the initialized state (or an arbitrary
-      supplied state for {!analyze_from});
+    - the seed unknown (F = ∅) starts from the initialized state;
     - task edges close each unknown under its own {!Transfer} posts;
     - crash edges flow A(F ∖ {i}) into A(F) unchanged — [fail_i] only moves
       the failed set, which the unknown index carries (the abstract
@@ -27,7 +26,7 @@ type info = {
 type t = {
   sys : Model.System.t;
   max_faults : int;
-  infos : info array;  (** Index 0 is the seed failed-set. *)
+  infos : info array;  (** Index 0 is the seed, the empty failed set. *)
   incidents : Transfer.incident list;  (** Deduplicated by code × subject. *)
   stats : Fixpoint.stats;
 }
@@ -35,10 +34,6 @@ type t = {
 val analyze : ?max_faults:int -> ?inputs:Ioa.Value.t list -> Model.System.t -> t
 (** From the initialized system. [max_faults] defaults to 1; [inputs] to the
     binary staircase convention [i mod 2]. *)
-
-val analyze_from : ?max_faults:int -> Model.State.t -> Model.System.t -> t
-(** From an arbitrary concrete state; the seed failed-set is the state's
-    own. *)
 
 val seed_info : t -> info
 
@@ -58,9 +53,3 @@ val dead_tasks : t -> (int * Model.Task.t) list
 
 val crash_interval : t -> Interval.t
 (** Hull of the crash counts covered by the constraint system. *)
-
-val frozen : t -> bool
-(** Every unknown's solution stays within the seed abstraction and no
-    decide event is possible anywhere: the seed state is quiescent and
-    remains so under every further crash pattern within [max_faults] —
-    the {!Prune} closure certificate. *)

@@ -32,7 +32,6 @@ type report = {
   undelivered_net : int;
   vacuous_net_faults : int;
   dedup_hits : int;
-  static_prunes : int;
   outcome : outcome;
 }
 
@@ -51,10 +50,10 @@ let witness_of_violation (v : Explore.violation) =
          })
   | _ -> None (* k-agreement, linearizability: no engine constructor; reported directly. *)
 
-let violated ?monitors ?max_steps ?interleave ~shrink sys original =
+let violated ~monitors ?max_steps ?interleave ~shrink sys original =
   let minimized, shrink_stats =
     if shrink then
-      let m, st = Shrink.shrink ?monitors ?max_steps ?interleave sys original in
+      let m, st = Shrink.shrink ~monitors ?max_steps ?interleave sys original in
       Some m, Some st
     else None, None
   in
@@ -73,28 +72,26 @@ let violated ?monitors ?max_steps ?interleave ~shrink sys original =
   Violated
     { original; minimized; shrink_stats; witness = witness_of_violation final; replayed = None }
 
-let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(static_prune = false)
-    ?(stop = fun () -> false) mode sys =
+let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(stop = fun () -> false)
+    mode sys =
+  let monitors =
+    (* Resolved once, so the runs and the shrinker judge by the same family:
+       a degrade-aware violation must not "vanish" while minimizing. *)
+    match monitors with
+    | Some ms -> ms
+    | None ->
+      let degrade =
+        match mode with Systematic c -> c.Explore.degrade | Seeded s -> s.degrade
+      in
+      Monitor.defaults ~degrade ()
+  in
   match mode with
   | Systematic config ->
-    let r =
-      (* The explorer gets the caller's monitors verbatim: its static oracle
-         keys on the caller not overriding the (degrade-aware) defaults. *)
-      Explore.run_par ?monitors ~config ~domains ~dedup ~static_prune ~stop sys
-    in
-    let shrink_monitors =
-      (* The shrinker must judge candidates by the same family the explorer
-         ran, or a degrade-aware violation could "vanish" while minimizing. *)
-      match monitors with
-      | Some _ -> monitors
-      | None ->
-        if config.Explore.degrade then Some (Monitor.defaults ~degrade:true ()) else None
-    in
+    let r = Explore.run_par ~monitors ~config ~domains ~dedup ~stop sys in
     let outcome =
       match r.Explore.violation with
       | None -> Passed
-      | Some v ->
-        violated ?monitors:shrink_monitors ~max_steps:config.Explore.max_steps ~shrink sys v
+      | Some v -> violated ~monitors ~max_steps:config.Explore.max_steps ~shrink sys v
     in
     {
       mode;
@@ -108,17 +105,9 @@ let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(static_prune
       undelivered_net = r.Explore.undelivered_net;
       vacuous_net_faults = r.Explore.vacuous_net_faults;
       dedup_hits = r.Explore.dedup_hits;
-      static_prunes = r.Explore.static_prunes;
       outcome;
     }
   | Seeded { seed; runs; max_faults; horizon; max_steps; kinds; degrade } ->
-    let monitors =
-      (* Same degrade-aware defaulting as the systematic path; the seeded
-         engine never engages the static oracle, so nothing keys on None. *)
-      match monitors with
-      | Some _ -> monitors
-      | None -> if degrade then Some (Monitor.defaults ~degrade:true ()) else None
-    in
     let step_budget_hits = ref 0 and monitor_truncations = ref 0 in
     let undelivered = ref 0 and undelivered_n = ref 0 and vacuous = ref 0 in
     let wall = ref false in
@@ -131,7 +120,7 @@ let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(static_prune
       else begin
         let seed_i = seed + i in
         let r, schedule =
-          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ?monitors ~max_steps sys
+          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ~monitors ~max_steps sys
         in
         monitor_truncations := !monitor_truncations + List.length r.Runner.monitor_truncations;
         undelivered := !undelivered + r.Runner.undelivered_crashes;
@@ -162,14 +151,14 @@ let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(static_prune
         let interleave = Rand.interleave ~seed:seed_i in
         (* Exact replay: the same seed must reproduce the identical trace. *)
         let replay, _ =
-          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ?monitors ~max_steps sys
+          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ~monitors ~max_steps sys
         in
         let replayed =
           List.equal Model.Event.equal
             (Model.Exec.events v.Explore.exec)
             (Model.Exec.events replay.Runner.exec)
         in
-        (match violated ?monitors ~max_steps ~interleave ~shrink sys v with
+        (match violated ~monitors ~max_steps ~interleave ~shrink sys v with
         | Violated x -> Violated { x with replayed = Some replayed }
         | o -> o)
     in
@@ -185,7 +174,6 @@ let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(static_prune
       undelivered_net = !undelivered_n;
       vacuous_net_faults = !vacuous;
       dedup_hits = 0;
-      static_prunes = 0;
       outcome;
     }
 
@@ -216,9 +204,6 @@ let pp_report ppf r =
     (if r.truncated then " — TRUNCATED: enumeration budget hit before exhausting the space"
      else "")
     (if r.wall_truncated then " — truncated: wall-clock" else "");
-  if r.static_prunes > 0 then
-    Format.fprintf ppf "%d schedule(s) statically pruned (proven clean, never executed)@,"
-      r.static_prunes;
   if r.step_budget_hits > 0 then
     Format.fprintf ppf
       "%d run(s) hit the step budget undecided — liveness verdicts there are bounded evidence only@,"

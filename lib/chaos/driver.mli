@@ -63,9 +63,6 @@ type report = {
           with [dedup]; 0 otherwise). {!pp_report} does not print it: it
           depends on cache evictions and domain timing, while every printed
           line is the same with or without dedup at every domain count. *)
-  static_prunes : int;
-      (** Schedules skipped by the abstract-interpretation infeasibility
-          oracle (systematic mode with [static_prune]; 0 otherwise). *)
   outcome : outcome;
 }
 
@@ -74,16 +71,17 @@ val run :
   ?shrink:bool ->
   ?domains:int ->
   ?dedup:bool ->
-  ?static_prune:bool ->
   ?stop:(unit -> bool) ->
   mode ->
   Model.System.t ->
   report
-(** [shrink] defaults to true. Systematic exploration runs
+(** [monitors] defaults to {!Monitor.defaults}, degrade-aware when the
+    mode's [degrade] is set; the runs and the shrinker all check that one
+    family. [shrink] defaults to true. Systematic exploration runs
     {!Explore.run_par} on [domains] (default 1) domains, with [dedup]
-    (default true) and [static_prune] (default false); its report equals
-    the plain sequential {!Explore.run}'s in every field but the prune
-    counts. Seeded mode ignores all three.
+    (default true); its report equals the plain sequential
+    {!Explore.run}'s in every field but [dedup_hits]. Seeded mode ignores
+    both.
 
     [stop] (default never) is the wall-clock budget: polled between
     candidate schedules in every mode; once it returns true no further

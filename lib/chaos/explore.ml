@@ -51,7 +51,6 @@ type report = {
   undelivered_net : int;
   vacuous_net_faults : int;
   dedup_hits : int;
-  static_prunes : int;
   violation : violation option;
 }
 
@@ -158,8 +157,7 @@ let space_size sys cfg =
   !total
 
 (* Callers that pass no monitors get the default family matching the
-   config's degrade flag, so `--degrade` composes with the static oracle:
-   it engages whenever the caller supplied nothing custom. *)
+   config's degrade flag. *)
 let effective_monitors cfg = function
   | Some ms -> ms
   | None -> Monitor.defaults ~degrade:cfg.degrade ()
@@ -212,7 +210,6 @@ let run ?monitors ?config ?(stop = fun () -> false) (sys : Model.System.t) =
     undelivered_net = !undelivered_net;
     vacuous_net_faults = !vacuous;
     dedup_hits = 0;
-    static_prunes = 0;
     violation;
   }
 
@@ -226,8 +223,6 @@ type run_record = {
   undelivered_n : int;
   vacuous : int;
   deduped : bool;
-  statically_pruned : bool;
-  parent : bool;
   found : violation option;
 }
 
@@ -282,8 +277,6 @@ let merge ?(wall = false) ?into ~space ~scheduled records =
     undelivered_net = sum (fun r -> r.undelivered_net) (fun r -> r.undelivered_n);
     vacuous_net_faults = sum (fun r -> r.vacuous_net_faults) (fun r -> r.vacuous);
     dedup_hits = sum (fun r -> r.dedup_hits) (fun r -> if r.deduped then 1 else 0);
-    static_prunes =
-      sum (fun r -> r.static_prunes) (fun r -> if r.statically_pruned then 1 else 0);
     violation = Option.map snd winner;
   }
 
@@ -297,77 +290,12 @@ let rec note_best best rank =
   let cur = Atomic.get best in
   if rank < cur && not (Atomic.compare_and_set best cur rank) then note_best best rank
 
-let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(static_prune = false)
-    ?(stop = fun () -> false) (sys : Model.System.t) =
+let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(stop = fun () -> false)
+    (sys : Model.System.t) =
   let cfg = match config with Some c -> c | None -> default_config sys in
   let space = space_size sys cfg in
   let scheduled = min (max 0 cfg.budget) space in
-  let n_tasks = Array.length sys.Model.System.tasks in
-  (* The static oracle keys on the caller NOT overriding the monitor family
-     (its soundness argument covers the defaults, degrade-aware or not);
-     the runs themselves always get the effective family. *)
-  let eff_monitors = effective_monitors cfg monitors in
-  let quiescence =
-    (* The abstract-interpretation infeasibility oracle: a certified step Q
-       from which every silencing schedule whose faults all land at or past
-       Q provably ends in a clean lasso with all faults delivered. Engaged
-       only under the exact convention the certificate covers — default
-       monitors, round-robin interleaving — and only when the step budget
-       provably accommodates the longest pruned crash-only run (activation +
-       crash deliveries + one full silent cycle), so a concrete twin could
-       never have hit [Budget]; net-bearing schedules re-check their own
-       delivery tail against the budget below. *)
-    if
-      static_prune && monitors = None
-      && cfg.horizon + cfg.max_faults + n_tasks + 2 <= cfg.max_steps
-    then
-      Analysis.Prune.clean_from ~max_faults:cfg.max_faults
-        ~inputs:(Runner.default_inputs sys)
-        ~horizon:cfg.horizon sys
-    else None
-  in
-  let prunable (s : Schedule.t) =
-    match quiescence with
-    | None -> false
-    | Some cert ->
-      let q = cert.Analysis.Prune.quiescent_from in
-      (* Silencing schedules with every fault at or past Q; the empty
-         schedule is never pruned (it has rank 0, and concrete prefix
-         violations must keep dominating the rank-least merge). Net faults
-         additionally need the empty-buffer certificate (post-Q omissions
-         provably vacuous, partitions never blocking) and a step budget
-         that provably absorbs their delivery tail plus one silent cycle —
-         a partition heals half a horizon past its begin, beyond what the
-         engagement precondition covers for crashes. *)
-      s.Schedule.overrides = []
-      && s.Schedule.default_pref = Model.System.Prefer_dummy
-      && s.Schedule.faults <> []
-      && List.for_all
-           (function
-             | Schedule.Crash { step; _ } -> step >= q
-             | Schedule.Drop { step; _ } | Schedule.Duplicate { step; _ }
-             | Schedule.Delay { step; _ } | Schedule.Partition { step; _ } ->
-               cert.Analysis.Prune.buffers_empty && step >= q
-             (* A silence flips the adversary's policy, outside what the
-                certificate's frozen-state closure covers. *)
-             | Schedule.Silence _ -> false)
-           s.Schedule.faults
-      && (Schedule.is_crash_only s
-         ||
-         let last, count =
-           List.fold_left
-             (fun (last, count) f ->
-               match f with
-               | Schedule.Partition { heal_at; _ } -> max last heal_at, count + 2
-               | Schedule.Crash { step; _ }
-               | Schedule.Drop { step; _ }
-               | Schedule.Duplicate { step; _ }
-               | Schedule.Delay { step; _ }
-               | Schedule.Silence { step; _ } -> max last step, count + 1)
-             (0, 0) s.Schedule.faults
-         in
-         last + count + n_tasks + 2 <= cfg.max_steps)
-  in
+  let monitors = effective_monitors cfg monitors in
   let prefix =
     (* The shared fault-free stem: every candidate (all use the silencing
        adversary) replays this prefix up to its first fault, so each run
@@ -375,54 +303,16 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(static_prune = fa
     if scheduled = 0 then None
     else
       Some
-        (Runner.prefix ~monitors:eff_monitors ~max_steps:cfg.max_steps
+        (Runner.prefix ~monitors ~max_steps:cfg.max_steps
            ~steps:(min (max 0 (cfg.horizon - 1)) cfg.max_steps)
            sys)
   in
   let visited = Fingerprint.Visited.create () in
   let best = Atomic.make max_int in
-  let clean rank =
-    {
-      rank;
-      budget_hit = false;
-      truncations = 0;
-      undelivered = 0;
-      undelivered_n = 0;
-      vacuous = 0;
-      deduped = false;
-      statically_pruned = false;
-      parent = false;
-      found = None;
-    }
-  in
   let run_one rank schedule =
     (* Ranks at or past the best violating rank cannot affect the merged
        report; skipping them is the early-exit that makes the search stop. *)
     if rank >= Atomic.get best then None
-    else if prunable schedule then begin
-      (* Proven clean lasso: all faults delivered, no violation — exactly
-         what the concrete run would have recorded. Post-Q omissions land
-         on certified-empty buffers, hence the analytic vacuous count; a
-         net-bearing pruned run's monitor truncations equal the fault-free
-         (rank 0) run's — same histories, no net events — and are copied
-         from that record once its block's workers join. *)
-      let crash_only = Schedule.is_crash_only schedule in
-      let omissions =
-        List.length
-          (List.filter
-             (function
-               | Schedule.Drop _ | Schedule.Duplicate _ | Schedule.Delay _ -> true
-               | _ -> false)
-             schedule.Schedule.faults)
-      in
-      Some
-        {
-          (clean rank) with
-          vacuous = (if crash_only then 0 else omissions);
-          statically_pruned = true;
-          parent = not crash_only;
-        }
-    end
     else begin
       (* [keyed]: this run's activation key, step and truncation count, to
          record its suffix on a lasso; [inherited]: the recorded suffix's
@@ -443,18 +333,18 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(static_prune = fa
                 `Continue)
         else None
       in
-      let r =
-        Runner.run ~monitors:eff_monitors ~max_steps:cfg.max_steps ?on_active ?prefix
-          ~schedule sys
-      in
+      let r = Runner.run ~monitors ~max_steps:cfg.max_steps ?on_active ?prefix ~schedule sys in
       let truncations = List.length r.Runner.monitor_truncations in
       let base =
         {
-          (clean rank) with
+          rank;
+          budget_hit = false;
           truncations = truncations + !inherited;
           undelivered = r.Runner.undelivered_crashes;
           undelivered_n = r.Runner.undelivered_net;
           vacuous = r.Runner.vacuous_net_faults;
+          deduped = false;
+          found = None;
         }
       in
       Some
@@ -490,11 +380,6 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(static_prune = fa
      records so far merge into a wall-truncated report. *)
   let wall_stopped = Atomic.make false in
   let stop () = stop () && (Atomic.set wall_stopped true; true) in
-  (* A net-bearing statically pruned record adopts the fault-free rank-0
-     run's monitor truncations (rank 0 is never statically pruned). Rank 0
-     opens the first block, so it has a record whenever any rank does. *)
-  let rank0_truncations = ref 0 in
-  let adopt r = if r.parent then { r with truncations = !rank0_truncations } else r in
   (* The candidate stream, shared by the pool's domains without a lock: a
      domain forces the next node and claims it by swinging the cursor past
      it, retrying if another domain claimed it first. Forcing a node twice is
@@ -519,11 +404,8 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(static_prune = fa
           Option.bind (next ()) (fun (rank, schedule) -> run_one rank schedule))
     in
     let records = List.filter_map Option.join (Array.to_list records) in
-    if base = 0 then
-      List.iter (fun r -> if r.rank = 0 then rank0_truncations := r.truncations) records;
     let report =
-      merge ~wall:(Atomic.get wall_stopped) ?into ~space ~scheduled:(base + n)
-        (List.map adopt records)
+      merge ~wall:(Atomic.get wall_stopped) ?into ~space ~scheduled:(base + n) records
     in
     if n = 0 || Option.is_some report.violation || report.wall_truncated then report
     else sweep (Some report) (base + n)

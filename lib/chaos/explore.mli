@@ -71,14 +71,6 @@ type report = {
           count depends on the visited cache's evictions and, above one
           domain, on timing, so no printed report shows it: [boost chaos]
           writes it only to its [--prune-stats-out] file. *)
-  static_prunes : int;
-      (** Schedules skipped without any concrete execution because the
-          abstract-interpretation oracle ({!Analysis.Prune.clean_from})
-          proved them infeasible as violations: every fault lands at or
-          after the certified quiescence step (net faults additionally
-          require the empty-buffer certificate), so the run provably ends
-          in a clean lasso. Counted as examined. Always 0 for {!run} and
-          for {!run_par} without [static_prune]. *)
   violation : violation option;
 }
 
@@ -146,13 +138,6 @@ type run_record = {
   undelivered_n : int;
   vacuous : int;
   deduped : bool;
-  statically_pruned : bool;
-      (** Skipped by the static infeasibility oracle; the clean-lasso
-          counters were recorded without executing the run. *)
-  parent : bool;
-      (** A net-bearing static prune, whose monitor truncations are those of
-          rank 0 (the fault-free run) and are copied from that record before
-          its block is merged. *)
   found : violation option;
 }
 (** One run's result, the unit {!merge} operates on. *)
@@ -173,27 +158,10 @@ val run_par :
   ?config:config ->
   ?domains:int ->
   ?dedup:bool ->
-  ?static_prune:bool ->
   ?stop:(unit -> bool) ->
   Model.System.t ->
   report
 (** [domains] defaults to 1 (same pool, no spawned domains);
     [dedup] defaults to true. [stop] is polled before each rank, as
-    {!run} polls it before each candidate.
-
-    With [static_prune] (default false), the abstract-interpretation oracle
-    {!Analysis.Prune.clean_from} certifies a quiescence step Q once per
-    exploration; silencing candidates whose faults all land at steps ≥ Q
-    are then skipped without concrete execution, recording exactly the
-    counters their run would have produced (clean lasso, all faults
-    delivered). Net-bearing candidates additionally require the
-    certificate's [buffers_empty] (post-Q omission deliveries provably
-    vacuous, partitions never blocking) and a per-schedule check that the
-    delivery tail — a partition heals half a horizon past its begin — fits
-    the step budget; silences always disqualify. The report is
-    byte-identical to the unpruned one except that [monitor_truncations]
-    can undercount and [static_prunes] counts the skips. The oracle only
-    engages under the convention it certifies: default
-    monitors (degrade-aware when [config.degrade]), round-robin
-    interleaving, and a step budget large enough that no pruned run could
-    have hit [Budget]; otherwise every candidate runs concretely. *)
+    {!run} polls it before each candidate. Without [monitors], runs check
+    the default family, degrade-aware when [config.degrade]. *)

@@ -190,9 +190,6 @@ let net_faults t =
     (function Drop _ | Duplicate _ | Delay _ | Partition _ -> true | Crash _ | Silence _ -> false)
     t.faults
 
-let is_crash_only t =
-  List.for_all (function Crash _ -> true | _ -> false) t.faults
-
 let pp_blocks = Model.Event.pp_blocks
 
 let pp_fault ppf = function

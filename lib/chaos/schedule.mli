@@ -113,8 +113,6 @@ val n_faults : t -> int
 val net_faults : t -> fault list
 (** The network faults (drop/dup/delay/partition), in schedule order. *)
 
-val is_crash_only : t -> bool
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -75,8 +75,8 @@ let run_random ?policy ~seed ?(fail_prob = 0.0) ?(max_failures = 0) ?(max_steps 
   Model.Exec.last_state exec, outcome, exec
 
 (* Every verdict-bearing field of an exploration report: all but the prune
-   counters ([dedup_hits], [static_prunes]), which are the only fields a
-   pruned exploration may report differently from the sequential oracle. *)
+   counter [dedup_hits], the only field a deduplicating exploration may
+   report differently from the sequential oracle. *)
 type report_sig =
   (int * int * bool * bool)
   * (int * int * int * int * int)

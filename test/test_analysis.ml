@@ -4,9 +4,9 @@
    materialize G(C), the abstract may-decided set of the seed (failure-free)
    context must over-approximate the exact reachable-decision mask computed
    by Valence.analyze at the root. A golden lint on a deliberately flawed
-   candidate checks the blank-protocol diagnostic, and the static pruning
-   oracle is pinned to the unpruned explorer: identical reports while
-   skipping a nonzero number of schedules. *)
+   candidate checks the blank-protocol diagnostic, and the streaming
+   explorer ({!Chaos.Explore.run_par}) is pinned to the plain sequential
+   one: identical reports on clean and violating crash spaces. *)
 
 open Ioa
 open Helpers
@@ -166,15 +166,14 @@ let test_golden_flawed_blank () =
   Alcotest.(check (option (list int))) "engine confirms blank" (Some [])
     (concrete_decided (flawed_system ~n:2) [ 1; 0 ])
 
-(* --- static pruning, pinned to the unpruned explorer --- *)
+(* --- the streaming explorer, pinned to the sequential oracle --- *)
 
 let cfg ?(horizon = 12) () =
   { Chaos.Explore.max_faults = 1; horizon; stride = 1; budget = 100_000; max_steps = 2_000;
     kinds = [ Chaos.Schedule.Crash_k ]; degrade = false }
 
 let report_sig (r : Chaos.Explore.report) =
-  (* Everything the pruned run must reproduce byte-identically; static_prunes
-     is the one field allowed to differ (and asserted separately). *)
+  (* Everything {!Chaos.Explore.run_par} must reproduce byte-identically. *)
   Format.asprintf "%d/%d/%b/%d/%d/%d/%s" r.Chaos.Explore.examined r.Chaos.Explore.space
     r.Chaos.Explore.truncated r.Chaos.Explore.step_budget_hits
     r.Chaos.Explore.monitor_truncations r.Chaos.Explore.undelivered_crashes
@@ -185,47 +184,22 @@ let report_sig (r : Chaos.Explore.report) =
       ^ "|" ^ v.Chaos.Explore.monitor ^ "|" ^ v.Chaos.Explore.reason
       ^ "|" ^ string_of_bool v.Chaos.Explore.proven)
 
-let differential ?horizon ~expect_prunes sys =
+let differential ?horizon sys =
   let config = cfg ?horizon () in
   let oracle = Chaos.Explore.run ~config sys in
-  let pruned = Chaos.Explore.run_par ~config ~dedup:false ~static_prune:true sys in
-  Alcotest.(check string) "report identical" (report_sig oracle) (report_sig pruned);
-  Alcotest.(check int) "oracle never prunes" 0 oracle.Chaos.Explore.static_prunes;
-  if expect_prunes then
-    Alcotest.(check bool) "skipped a nonzero number of schedules" true
-      (pruned.Chaos.Explore.static_prunes > 0)
+  let par = Chaos.Explore.run_par ~config ~dedup:false sys in
+  Alcotest.(check string) "report identical" (report_sig oracle) (report_sig par)
 
 let test_prune_direct_clean () =
-  (* f = 1 tolerates the single crash: every schedule is clean, and those
-     crashing after quiescence are skipped. *)
-  differential ~expect_prunes:true (Protocols.Direct.system ~n:2 ~f:1)
+  (* f = 1 tolerates the single crash: every schedule is clean. *)
+  differential (Protocols.Direct.system ~n:2 ~f:1)
 
-let test_prune_tob_clean () =
-  differential ~horizon:40 ~expect_prunes:true (Protocols.Tob_direct.system ~n:2 ~f:1)
+let test_prune_tob_clean () = differential ~horizon:40 (Protocols.Tob_direct.system ~n:2 ~f:1)
 
 let test_prune_direct_violating () =
-  (* f = 0: the rank-least violation (crash@0:0) precedes every prunable
-     schedule, so the reports coincide including the violation. *)
-  differential ~expect_prunes:false (Protocols.Direct.system ~n:2 ~f:0)
-
-let test_prune_oracle_direct () =
-  let sys = Protocols.Direct.system ~n:2 ~f:1 in
-  match
-    A.Prune.clean_from ~inputs:(Chaos.Runner.default_inputs sys) ~horizon:12 sys
-  with
-  | None -> Alcotest.fail "expected a quiescence certificate for direct f=1"
-  | Some { A.Prune.quiescent_from = q; buffers_empty } ->
-    Alcotest.(check bool) "within horizon" true (q < 12);
-    (* Direct's frozen state has drained every response buffer, so the
-       certificate extends to post-Q omission deliveries. *)
-    Alcotest.(check bool) "frozen buffers are empty" true buffers_empty;
-    (* The certificate is honest: a crash at q is a clean lasso concretely. *)
-    let schedule = Chaos.Schedule.make [ Chaos.Schedule.crash ~step:q ~pid:0 ] in
-    let r = Chaos.Runner.run ~max_steps:2_000 ~schedule sys in
-    (match r.Chaos.Runner.stop with
-    | Chaos.Runner.Lasso _ -> ()
-    | s -> Alcotest.failf "expected a lasso at Q, got %a" Chaos.Runner.pp_stop s);
-    Alcotest.(check int) "all crashes delivered" 0 r.Chaos.Runner.undelivered_crashes
+  (* f = 0: the rank-least violation (crash@0:0) ends the scan, so the
+     reports coincide including the violation. *)
+  differential (Protocols.Direct.system ~n:2 ~f:0)
 
 let suite =
   ( "analysis",
@@ -240,5 +214,4 @@ let suite =
       Alcotest.test_case "prune differential: tob clean" `Quick test_prune_tob_clean;
       Alcotest.test_case "prune differential: direct violating" `Quick
         test_prune_direct_violating;
-      Alcotest.test_case "prune oracle certificate" `Quick test_prune_oracle_direct;
     ] )

@@ -464,7 +464,7 @@ let test_shrink_weakens_delay () =
     | _ -> Alcotest.fail "expected the delay to survive shrinking")
   | s -> Alcotest.failf "expected the delay to be delivered, got %a" Chaos.Runner.pp_stop s
 
-(* --- Composition: -j / dedup / static-prune with net kinds --- *)
+(* --- Composition: -j / dedup with net kinds --- *)
 
 let test_par_composition_net () =
   let sys = tob () in
@@ -478,15 +478,13 @@ let test_par_composition_net () =
   let seq = Chaos.Explore.run ~config:cfg sys in
   List.iter
     (fun j ->
-      let par =
-        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:true ~static_prune:true sys
-      in
+      let par = Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:true sys in
       Alcotest.check report_sig_testable
         (Printf.sprintf "-j%d report matches sequential" j)
         (report_sig seq) (report_sig par))
     [ 1; 2 ];
-  (* On a clean net-fault space both prunings engage on net-bearing
-     schedules, and the report still pins to the sequential oracle. *)
+  (* On a clean net-fault space dedup engages on net-bearing schedules,
+     and the report still pins to the sequential oracle. *)
   let sys = Protocols.Direct.system ~n:2 ~f:0 in
   let net_cfg =
     { (config sys ~kinds:[ Chaos.Schedule.Drop_k; Chaos.Schedule.Partition_k ]
@@ -495,27 +493,11 @@ let test_par_composition_net () =
       Chaos.Explore.max_steps = 4_000;
     }
   in
-  let par =
-    Chaos.Explore.run_par ~config:net_cfg ~domains:1 ~dedup:true ~static_prune:true sys
-  in
+  let par = Chaos.Explore.run_par ~config:net_cfg ~domains:1 ~dedup:true sys in
   Alcotest.check report_sig_testable "clean net space matches sequential"
     (report_sig (Chaos.Explore.run ~config:net_cfg sys))
     (report_sig par);
-  Alcotest.(check bool) "net schedules deduplicated" true (par.Chaos.Explore.dedup_hits > 0);
-  Alcotest.(check bool) "net schedules statically pruned" true
-    (par.Chaos.Explore.static_prunes > 0);
-  (* Crash-only clean spaces are statically pruned too. *)
-  let crash_cfg =
-    { (config (direct_f1 ()) ~kinds:[ Chaos.Schedule.Crash_k ] ~max_faults:1) with
-      Chaos.Explore.max_steps = 2_000;
-    }
-  in
-  let pruned =
-    Chaos.Explore.run_par ~config:crash_cfg ~domains:1 ~dedup:false ~static_prune:true
-      (direct_f1 ())
-  in
-  Alcotest.(check bool) "crash-only schedules still statically pruned" true
-    (pruned.Chaos.Explore.static_prunes > 0)
+  Alcotest.(check bool) "net schedules deduplicated" true (par.Chaos.Explore.dedup_hits > 0)
 
 (* --- Wall-clock truncation --- *)
 
@@ -601,7 +583,7 @@ let suite =
       Alcotest.test_case "shrink clamps to the executed range" `Quick
         test_shrink_clamps_to_executed_range;
       Alcotest.test_case "shrink keeps delay lag minimal" `Quick test_shrink_weakens_delay;
-      Alcotest.test_case "par/dedup/static-prune compose with net kinds" `Slow
+      Alcotest.test_case "par and dedup compose with net kinds" `Slow
         test_par_composition_net;
       Alcotest.test_case "wall-clock truncation" `Quick test_wall_truncation;
       qcheck_mixed_seed_replay;

@@ -226,7 +226,7 @@ let qcheck_merge_order_insensitive =
   let record_gen rank =
     QCheck2.Gen.(
       let* budget_hit = bool and* truncations = int_bound 3 and* undelivered = int_bound 2 in
-      let* deduped = bool and* statically_pruned = bool in
+      let* deduped = bool in
       let* violating = int_bound 4 in
       let* step = int_bound 6 and* pid = int_bound 1 and* proven = bool in
       let found =
@@ -254,8 +254,6 @@ let qcheck_merge_order_insensitive =
             undelivered_n = 0;
             vacuous = 0;
             deduped;
-            statically_pruned;
-            parent = false;
             found;
           })
   in
@@ -267,10 +265,10 @@ let qcheck_merge_order_insensitive =
       return (records, shuffled, n))
   in
   let report_sig (r : Chaos.Explore.report) =
-    Format.asprintf "%d/%d/%b/%d/%d/%d/%d/%d/%s" r.Chaos.Explore.examined
+    Format.asprintf "%d/%d/%b/%d/%d/%d/%d/%s" r.Chaos.Explore.examined
       r.Chaos.Explore.space r.Chaos.Explore.truncated r.Chaos.Explore.step_budget_hits
       r.Chaos.Explore.monitor_truncations r.Chaos.Explore.undelivered_crashes
-      r.Chaos.Explore.dedup_hits r.Chaos.Explore.static_prunes
+      r.Chaos.Explore.dedup_hits
       (Option.value (verdict r) ~default:"clean")
   in
   qtest "merge is order- and partition-insensitive" ~count:100 gen

@@ -225,14 +225,14 @@ let test_truncation_categories () =
        (fun (m, cat, _) -> m = "linearizability" && cat = Chaos.Monitor.Adversary)
        r.Chaos.Runner.monitor_truncations)
 
-(* --- the pruning explorer x degrade ---
+(* --- the deduplicating explorer x degrade ---
 
-   Through dedup and the static oracle, a degrade-aware exploration must
-   reproduce the sequential report in full, the violation's degraded-vector
-   annotation included, and the minimizer must land on the same schedule
-   with the same damage. *)
+   Through dedup, a degrade-aware exploration must reproduce the sequential
+   report in full, the violation's degraded-vector annotation included, and
+   the minimizer must land on the same schedule with the same damage at
+   every domain count. *)
 
-let test_pruned_degrade_compose () =
+let test_dedup_degrade_compose () =
   let degrade_cfg sys kinds =
     { (Chaos.Explore.default_config sys) with
       Chaos.Explore.max_faults = 1;
@@ -244,21 +244,18 @@ let test_pruned_degrade_compose () =
   in
   let check name sys cfg =
     let oracle = Chaos.Explore.run ~config:cfg sys in
-    let par =
-      Chaos.Explore.run_par ~config:cfg ~domains:1 ~dedup:true ~static_prune:true sys
-    in
-    Alcotest.check Helpers.report_sig_testable (name ^ ": pruned report matches the oracle")
+    let par = Chaos.Explore.run_par ~config:cfg ~domains:1 ~dedup:true sys in
+    Alcotest.check Helpers.report_sig_testable (name ^ ": deduped report matches the oracle")
       (Helpers.report_sig oracle) (Helpers.report_sig par);
     oracle, par
   in
-  (* Clean, and both prunings fire. *)
+  (* Clean, and dedup fires. *)
   let _, par =
     check "direct f=0" (Protocols.Direct.system ~n:2 ~f:0)
       (degrade_cfg (Protocols.Direct.system ~n:2 ~f:0)
          [ Chaos.Schedule.Drop_k; Chaos.Schedule.Partition_k ])
   in
   Alcotest.(check bool) "dedup fired" true (par.Chaos.Explore.dedup_hits > 0);
-  Alcotest.(check bool) "static prune fired" true (par.Chaos.Explore.static_prunes > 0);
   (* Violating, with a degraded vector on the verdict. *)
   let sys = tob ~f:0 () in
   let cfg = degrade_cfg sys [ Chaos.Schedule.Drop_k; Chaos.Schedule.Partition_k ] in
@@ -268,19 +265,15 @@ let test_pruned_degrade_compose () =
     Alcotest.(check bool) "oracle verdict carries a degraded vector" true
       (v.Chaos.Explore.degraded_to <> None)
   | None -> Alcotest.fail "degrade oracle reaches no verdict");
-  let driver pruned =
-    match
-      (Chaos.Driver.run
-         ~domains:(if pruned then 2 else 1)
-         ~static_prune:pruned (Chaos.Driver.Systematic cfg) sys)
-        .Chaos.Driver.outcome
-    with
+  let driver domains =
+    let r = Chaos.Driver.run ~domains (Chaos.Driver.Systematic cfg) sys in
+    match r.Chaos.Driver.outcome with
     | Chaos.Driver.Violated { minimized = Some m; _ } ->
       (Chaos.Schedule.to_string m.Chaos.Explore.schedule, m.Chaos.Explore.degraded_to)
     | _ -> Alcotest.fail "expected a minimized degrade-aware violation"
   in
   Alcotest.(check (pair string (option string)))
-    "minimized schedule and damage unchanged by pruning" (driver false) (driver true)
+    "minimized schedule and damage the same at -j 1 and -j 2" (driver 1) (driver 2)
 
 (* --- CLI error satellite: kind parsing names its vocabulary --- *)
 
@@ -327,8 +320,7 @@ let suite =
         test_tob_drop_degrades;
       Alcotest.test_case "crash-only verdicts identical" `Quick test_crash_only_identity;
       Alcotest.test_case "truncation categories" `Quick test_truncation_categories;
-      Alcotest.test_case "dedup and static-prune compose with degrade" `Quick
-        test_pruned_degrade_compose;
+      Alcotest.test_case "dedup composes with degrade" `Quick test_dedup_degrade_compose;
       Alcotest.test_case "fault-kind parse errors name the vocabulary" `Quick
         test_parse_kind_errors;
       Alcotest.test_case "witness trajectory comments round-trip" `Quick

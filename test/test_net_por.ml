@@ -1,5 +1,5 @@
-(* Task footprints against the network adversary, and the static-prune
-   oracle on net-fault spaces.
+(* Task footprints against the network adversary, and the explorer on
+   net-fault spaces. (The suite keeps its historical name, "net-por".)
 
    Two layers of evidence:
 
@@ -9,10 +9,10 @@
       ever holds back tasks whose footprint reads [Net_topology]: checked
       by QCheck from random reachable states and exhaustively over a small
       G(C);
-   2. differential oracles — `--static-prune` and dedup reports pinned
-      field-for-field against the unpruned sequential explorer on tob's
-      mixed crash+drop space and a truncated register-vote sweep over all
-      kinds. *)
+   2. differential oracles — {!Chaos.Explore.run_par}'s reports, with and
+      without dedup, pinned field-for-field against the plain sequential
+      explorer on tob's mixed crash+drop space and a truncated
+      register-vote sweep over all kinds. *)
 
 open Helpers
 module Fp = Analysis.Footprint
@@ -251,7 +251,7 @@ let test_exhaustive_small_gc () =
     states;
   Alcotest.(check bool) "exhaustive sweep nonvacuous" true (!checked > 1_000)
 
-(* --- differential oracles: --static-prune and dedup vs the sequential run --- *)
+(* --- differential oracles: run_par with and without dedup vs the sequential run --- *)
 
 let config sys ~kinds ~max_faults ~budget =
   { (Chaos.Explore.default_config sys) with
@@ -273,10 +273,10 @@ let test_differential_tob_mixed () =
   List.iter
     (fun j ->
       let par =
-        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false ~static_prune:true sys
+        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false sys
       in
       Alcotest.check report_sig_testable
-        (Printf.sprintf "-j%d report matches the unpruned oracle" j)
+        (Printf.sprintf "-j%d report matches the sequential oracle" j)
         (report_sig oracle) (report_sig par))
     [ 1; 2 ]
 
@@ -293,10 +293,10 @@ let test_differential_register_vote_truncated () =
   List.iter
     (fun j ->
       let par =
-        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false ~static_prune:true sys
+        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false sys
       in
       Alcotest.check report_sig_testable
-        (Printf.sprintf "-j%d truncated sweep matches the unpruned oracle" j)
+        (Printf.sprintf "-j%d truncated sweep matches the sequential oracle" j)
         (report_sig oracle) (report_sig par))
     [ 1; 2 ]
 
@@ -306,9 +306,7 @@ let test_differential_register_vote_truncated () =
 let test_mixed_dedup () =
   let sys, cfg = tob_mixed () in
   let oracle = Chaos.Explore.run ~config:cfg sys in
-  let par =
-    Chaos.Explore.run_par ~config:cfg ~domains:2 ~dedup:true ~static_prune:true sys
-  in
+  let par = Chaos.Explore.run_par ~config:cfg ~domains:2 ~dedup:true sys in
   Alcotest.check report_sig_testable "dedup report matches the oracle" (report_sig oracle)
     (report_sig par)
 
