@@ -144,7 +144,9 @@ let finish_cache ~stats_out cache =
   match cache with
   | None -> ()
   | Some c ->
-    Option.iter (fun file -> write_file file (Analysis.Cache.stats_json c)) stats_out;
+    Option.iter
+      (fun file -> write_file file (Analysis.Json.pretty (Analysis.Cache.stats_json c)))
+      stats_out;
     Format.eprintf "%a@." Analysis.Cache.pp_stats c
 
 let max_states_arg =
@@ -563,28 +565,26 @@ let chaos_cmd =
       (match prune_stats_out with
       | None -> ()
       | Some file ->
+        let r = report in
         write_file file
-          (Printf.sprintf
-            "{\n\
-            \  \"examined\": %d,\n\
-            \  \"space\": %d,\n\
-            \  \"truncated\": %b,\n\
-            \  \"wall_truncated\": %b,\n\
-            \  \"dedup_hits\": %d,\n\
-            \  \"step_budget_hits\": %d,\n\
-            \  \"monitor_truncations\": %d,\n\
-            \  \"vacuous_net_faults\": %d,\n\
-            \  \"violation\": %b\n\
-             }\n"
-            report.Chaos.Driver.examined report.Chaos.Driver.space
-            report.Chaos.Driver.truncated report.Chaos.Driver.wall_truncated
-            report.Chaos.Driver.dedup_hits
-            report.Chaos.Driver.step_budget_hits
-            report.Chaos.Driver.monitor_truncations
-            report.Chaos.Driver.vacuous_net_faults
-            (match report.Chaos.Driver.outcome with
-            | Chaos.Driver.Violated _ -> true
-            | Chaos.Driver.Passed -> false));
+          (Analysis.Json.(
+             pretty
+               (Obj
+                  [
+                    "examined", Int r.Chaos.Driver.examined;
+                    "space", Int r.Chaos.Driver.space;
+                    "truncated", Bool r.Chaos.Driver.truncated;
+                    "wall_truncated", Bool r.Chaos.Driver.wall_truncated;
+                    "dedup_hits", Int r.Chaos.Driver.dedup_hits;
+                    "step_budget_hits", Int r.Chaos.Driver.step_budget_hits;
+                    "monitor_truncations", Int r.Chaos.Driver.monitor_truncations;
+                    "vacuous_net_faults", Int r.Chaos.Driver.vacuous_net_faults;
+                    ( "violation",
+                      Bool
+                        (match r.Chaos.Driver.outcome with
+                        | Chaos.Driver.Violated _ -> true
+                        | Chaos.Driver.Passed -> false) );
+                  ])));
         (* stderr, so pruned-vs-oracle stdout diffs stay clean *)
         Format.eprintf "prune statistics written to %s@." file);
       (match report.Chaos.Driver.outcome, witness_out with
@@ -950,8 +950,8 @@ let lint_cmd =
              and compare byte-for-byte; exit 1 listing any disagreeing points.")
   in
   let run (selection, params) max_faults json jobs param validate cache_dir cache_stats =
+    let print_json v = print_endline (Analysis.Json.compact v) in
     let cache = Option.map (fun dir -> Analysis.Cache.open_ ~dir) cache_dir in
-    let emit_human (r : Registry.lint_result) = print_string r.Registry.human in
     let entries = match selection with All -> Array.of_list Registry.all | One e -> [| e |] in
     let run_param () =
       let certs =
@@ -961,7 +961,7 @@ let lint_cmd =
       in
       List.iter
         (fun (_, cert) ->
-          if json then print_endline (Analysis.Cert.json cert)
+          if json then print_json (Analysis.Cert.json cert)
           else Format.printf "%a@." Analysis.Cert.pp cert)
         certs;
       if not validate then 0
@@ -989,50 +989,38 @@ let lint_cmd =
         end
       end
     in
-    let code =
-      if param then run_param ()
-      else
-      match selection with
-      | All ->
-        let results =
-          Analysis.Pool.map ~jobs (Array.length entries) (fun i ->
-              Registry.lint ?cache ~max_faults entries.(i) Registry.default_params)
-          |> Array.to_list |> List.filter_map Fun.id
-        in
-        if json then
-          (* Globally sorted (protocol, severity, code, subject): the
-             diff-stable CI artifact ordering. *)
-          List.iter
-            (fun (p, f) -> print_endline (Analysis.Lint.json_of_finding ~protocol:p f))
-            (Analysis.Lint.sort_for_artifact
-               (List.concat_map
-                  (fun (r : Registry.lint_result) ->
-                    List.map (fun f -> r.Registry.name, f) r.Registry.findings)
-                  results))
-        else List.iter emit_human results;
-        (match cache with
-        | Some c ->
-          (* Record the fleet manifest: `boost cache status` diffs the live
-             registry against it to report what is unchanged and what
-             needs re-analysis. *)
-          Analysis.Cache.write_manifest c
-            (List.filter_map
-               (fun (r : Registry.lint_result) ->
-                 Option.map (fun h -> r.Registry.name, h) r.Registry.hash)
-               results)
-        | None -> ());
-        List.fold_left (fun acc (r : Registry.lint_result) -> max acc r.Registry.code) 0
-          results
-      | One e ->
-        let r = Registry.lint ?cache ~max_faults e params in
-        if json then
-          List.iter
-            (fun f ->
-              print_endline (Analysis.Lint.json_of_finding ~protocol:r.Registry.name f))
-            r.Registry.findings
-        else emit_human r;
-        r.Registry.code
+    let run_lint () =
+      let params = match selection with All -> Registry.default_params | One _ -> params in
+      let results =
+        Analysis.Pool.map ~jobs (Array.length entries) (fun i ->
+            Registry.lint ?cache ~max_faults entries.(i) params)
+        |> Array.to_list |> List.filter_map Fun.id
+      in
+      if json then
+        (* Globally sorted (protocol, severity, code, subject): the
+           diff-stable CI artifact ordering. *)
+        List.iter
+          (fun (protocol, f) -> print_json (Analysis.Lint.json_of_finding ~protocol f))
+          (Analysis.Lint.sort_for_artifact
+             (List.concat_map
+                (fun (r : Registry.lint_result) ->
+                  List.map (fun f -> r.Registry.name, f) r.Registry.findings)
+                results))
+      else List.iter (fun (r : Registry.lint_result) -> print_string r.Registry.human) results;
+      (match selection, cache with
+      | All, Some c ->
+        (* Record the fleet manifest: `boost cache status` diffs the live
+           registry against it to report what is unchanged and what
+           needs re-analysis. *)
+        Analysis.Cache.write_manifest c
+          (List.filter_map
+             (fun (r : Registry.lint_result) ->
+               Option.map (fun h -> r.Registry.name, h) r.Registry.hash)
+             results)
+      | _ -> ());
+      List.fold_left (fun acc (r : Registry.lint_result) -> max acc r.Registry.code) 0 results
     in
+    let code = if param then run_param () else run_lint () in
     finish_cache ~stats_out:cache_stats cache;
     code
   in

@@ -35,7 +35,7 @@ type st = {
 
 type t = Bot | St of st
 
-include Domain.LATTICE with type t := t
+include Lattice.S with type t := t
 
 val bot : t
 val of_state : Model.State.t -> t

@@ -207,23 +207,17 @@ let pp_stats ppf t =
 
 let stats_json t =
   let s = t.stats in
-  (* The on-disk census, grouped by envelope kind in sorted order — the
-     same grouping `boost cache status` prints. *)
-  let kinds =
-    entries ~dir:t.dir
-    |> List.map (fun (kind, count, _bytes) -> Printf.sprintf "    \"%s\": %d" kind count)
-    |> String.concat ",\n"
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"hits\": %d,\n\
-    \  \"misses\": %d,\n\
-    \  \"stale\": %d,\n\
-    \  \"corrupt\": %d,\n\
-    \  \"writes\": %d,\n\
-    \  \"kinds\": {\n%s\n  }\n\
-     }\n"
-    s.hits s.misses s.stale s.corrupt s.writes kinds
+  let kinds = List.map (fun (kind, count, _bytes) -> kind, Json.Int count) (entries ~dir:t.dir) in
+  Json.(
+    Obj
+      [
+        "hits", Int s.hits;
+        "misses", Int s.misses;
+        "stale", Int s.stale;
+        "corrupt", Int s.corrupt;
+        "writes", Int s.writes;
+        "kinds", Obj kinds;
+      ])
 
 (* --- the fleet manifest --- *)
 

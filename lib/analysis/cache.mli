@@ -52,7 +52,7 @@ val corrupt_count : dir:string -> int
 
 val pp_stats : Format.formatter -> t -> unit
 
-val stats_json : t -> string
+val stats_json : t -> Json.t
 (** Counters plus a ["kinds"] object — the on-disk census grouped by
     envelope kind in sorted order, the same grouping [boost cache status]
     prints. *)

@@ -136,38 +136,23 @@ let pp ppf t =
       List.iter (fun p -> Format.fprintf ppf "@ (%d,%d)=%d" p.pn p.pf p.code) t.points)
 
 let json t =
-  let esc = Lint.json_escape in
   let (nlo, flo), (nhi, fhi) = window t in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       {|{"certificate":"%s","family":"%s","max_faults":%d,"window":{"n":[%d,%d],"f":[%d,%d]},"stable":[|}
-       (esc t.protocol) (esc t.family) t.max_faults nlo nhi flo fhi);
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Lint.json_of_finding ~protocol:t.protocol f))
-    t.stable;
-  Buffer.add_string b {|],"everywhere":[|};
-  List.iteri
-    (fun i (code, sev, subject) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf {|{"rule":"%s","severity":"%s","subject":"%s"}|} (esc code)
-           (Lint.severity_name sev) (esc subject)))
-    t.everywhere;
-  Buffer.add_string b {|],"points":[|};
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf {|{"n":%d,"f":%d,"exit":%d,"findings":[|} p.pn p.pf p.code);
-      List.iteri
-        (fun j f ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Lint.json_of_finding ~protocol:t.protocol f))
-        p.findings;
-      Buffer.add_string b "]}")
-    t.points;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Json in
+  let findings fs = List (List.map (Lint.json_of_finding ~protocol:t.protocol) fs) in
+  let everywhere (code, sev, subject) =
+    Obj
+      [ "rule", String code; "severity", String (Lint.severity_name sev); "subject", String subject ]
+  in
+  let point p =
+    Obj [ "n", Int p.pn; "f", Int p.pf; "exit", Int p.code; "findings", findings p.findings ]
+  in
+  Obj
+    [
+      "certificate", String t.protocol;
+      "family", String t.family;
+      "max_faults", Int t.max_faults;
+      "window", Obj [ "n", List [ Int nlo; Int nhi ]; "f", List [ Int flo; Int fhi ] ];
+      "stable", findings t.stable;
+      "everywhere", List (List.map everywhere t.everywhere);
+      "points", List (List.map point t.points);
+    ]

@@ -54,8 +54,7 @@ val decode : Codec.cursor -> t
 
 val pp : Format.formatter -> t -> unit
 
-val json : t -> string
-(** Single-line JSON:
-    [{"certificate":…,"family":…,"max_faults":…,"window":…,"stable":[…],
-    "everywhere":[…],"points":[…]}] — findings in {!Lint.json_of_finding}'s
-    shape. *)
+val json : t -> Json.t
+(** An object with members certificate, family, max_faults, window (n and f
+    ranges), stable, everywhere and points — findings in
+    {!Lint.json_of_finding}'s shape. *)

@@ -1,7 +1,10 @@
 type stats = { iterations : int; widenings : int }
 
-module Make (L : Domain.LATTICE) = struct
-  let solve ?(widen_delay = 3) ~n ~bot ~rhs ~dependents () =
+(* Updates an unknown takes by plain join before widening. *)
+let widen_delay = 3
+
+module Make (L : Lattice.S) = struct
+  let solve ~n ~bot ~rhs ~dependents =
     let values = Array.make n bot in
     let updates = Array.make n 0 in
     let queued = Array.make n false in

@@ -102,12 +102,7 @@ let compute_crash_reads ~max_crashes (c : Service.t) =
   then endpoint_bits c
   else []
 
-let resolve_max_crashes (sys : System.t) = function
-  | Some k -> max 0 k
-  | None -> Array.length sys.System.processes
-
-let of_task ?reach ?max_crashes (sys : System.t) (tk : Task.t) =
-  let max_crashes = resolve_max_crashes sys max_crashes in
+let of_task ?reach ~max_crashes (sys : System.t) (tk : Task.t) =
   match tk with
   | Task.Proc i ->
     let may = proc_may ?reach sys i in
@@ -147,9 +142,58 @@ let of_task ?reach ?max_crashes (sys : System.t) (tk : Task.t) =
     }
 
 let of_system ?reach ?max_crashes (sys : System.t) =
-  let max_crashes = resolve_max_crashes sys max_crashes in
-  (* Reach is probed per process, not per task; share one refinement pass. *)
-  Array.map (fun tk -> tk, of_task ?reach ~max_crashes sys tk) sys.System.tasks
+  let max_crashes =
+    match max_crashes with Some k -> max 0 k | None -> Array.length sys.System.processes
+  in
+  Array.map (of_task ?reach ~max_crashes sys) sys.System.tasks
+
+(* --- interference between two tasks ---
+
+   One task's writes overlap the other's reads or writes. A crash bit is
+   never written, so the fault bound never moves a clash. *)
+
+let clash_witness f1 f2 =
+  let w12 = Cset.inter f1.writes (Cset.union f2.reads f2.writes) in
+  let w21 = Cset.inter f2.writes f1.reads in
+  Cset.min_elt_opt (Cset.union w12 w21)
+
+let independent f1 f2 = Option.is_none (clash_witness f1 f2)
+
+(* Static participants: the union of {!System.participants} over every
+   action the task can take in any configuration. A process task's next
+   action is an internal step, a decide, or an invocation of a may-invoked
+   service; service tasks act for their service (outputs additionally
+   deliver to their endpoint process). *)
+let static_participants tk fp =
+  match tk with
+  | Task.Proc i ->
+    System.P i
+    :: Cset.fold
+         (fun c acc -> match c with Svc_inv (svc, _) -> System.S svc :: acc | _ -> acc)
+         fp.writes []
+  | Task.Svc_perform { svc; _ } | Task.Svc_compute { svc; _ } -> [ System.S svc ]
+  | Task.Svc_output { svc; endpoint } -> [ System.S svc; System.P endpoint ]
+
+type race = { e : Task.t; e' : Task.t; component : component }
+
+let races (sys : System.t) fps =
+  (* A shared written component between tasks that can never share a
+     participant: no hook discipline (paper Lemma 8 / Claim 2) covers the
+     conflict. Structurally impossible for well-wired systems — every
+     buffer/value write is owned by a service the writer participates in —
+     so any hit marks an interface breach. *)
+  let ts = sys.System.tasks and acc = ref [] in
+  for i = 0 to Array.length ts - 1 do
+    for j = i + 1 to Array.length ts - 1 do
+      Option.iter
+        (fun component ->
+          let ps' = static_participants ts.(j) fps.(j) in
+          if not (List.exists (fun p -> List.mem p ps') (static_participants ts.(i) fps.(i)))
+          then acc := { e = ts.(i); e' = ts.(j); component } :: !acc)
+        (clash_witness fps.(i) fps.(j))
+    done
+  done;
+  List.rev !acc
 
 let pp_component ppf = function
   | Pstate i -> Format.fprintf ppf "proc[%d]" i
@@ -167,3 +211,14 @@ let pp_cset ppf s =
 
 let pp ppf { reads; writes } =
   Format.fprintf ppf "@[reads %a@ writes %a@]" pp_cset reads pp_cset writes
+
+let pp_summary (sys : System.t) ~max_crashes ppf fps =
+  let n = Array.length fps and indep = ref 0 in
+  Array.iteri
+    (fun i f -> Array.iteri (fun j g -> if i < j && independent f g then incr indep) fps)
+    fps;
+  Format.fprintf ppf "@[<v>task footprints (≤%d crash(es)):@," max_crashes;
+  Array.iteri
+    (fun i tk -> Format.fprintf ppf "  %a: %a@," Task.pp tk pp fps.(i))
+    sys.System.tasks;
+  Format.fprintf ppf "%d of %d task pair(s) statically independent@]" !indep (n * (n - 1) / 2)

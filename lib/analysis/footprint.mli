@@ -16,10 +16,11 @@
     may-decide bit; imprecision falls back to the structural answer, so the
     result is always an over-approximation).
 
-    The footprint is what {!Interfere} builds its independence relation on:
-    two tasks whose footprints do not write-overlap commute in every
-    described configuration (DESIGN.md §3.9 connects this to paper
-    Lemma 8). *)
+    Two tasks whose footprints do not write-overlap are {e independent}:
+    they commute in every described configuration, under either policy
+    (DESIGN.md §3.9 connects this to paper Lemma 8). [boost lint] prints
+    the footprints and the independence census, and audits them with its
+    [static-race] check ({!races}). *)
 
 type component =
   | Pstate of int  (** Program state of process [i]. *)
@@ -38,16 +39,25 @@ module Cset : Set.S with type elt = component
 
 type t = { reads : Cset.t; writes : Cset.t }
 
-val of_task : ?reach:Reach.t -> ?max_crashes:int -> Model.System.t -> Model.Task.t -> t
-(** [max_crashes] (default: the process count, fully conservative) bounds
+val of_system : ?reach:Reach.t -> ?max_crashes:int -> Model.System.t -> t array
+(** One footprint per entry of [sys.tasks], indexed by task position.
+    [max_crashes] (default: the process count, fully conservative) bounds
     the failures in the configurations described; at most [f] crashes make
     an f-resilient service's silencing threshold statically dead, shrinking
     the crash-bit read set. [reach] enables the process-step refinement. *)
 
-val of_system :
-  ?reach:Reach.t -> ?max_crashes:int -> Model.System.t -> (Model.Task.t * t) array
-(** One footprint per entry of [sys.tasks], in task order. *)
+val independent : t -> t -> bool
+(** Neither writes a component the other reads or writes. *)
+
+type race = { e : Model.Task.t; e' : Model.Task.t; component : component }
+
+val races : Model.System.t -> t array -> race list
+(** Over {!of_system}'s array: task pairs sharing a written component while
+    their static participants (the union of {!Model.System.participants}
+    over every action a task can take) are disjoint — conflicts outside the
+    paper's Lemma 8 discipline. Any hit marks an interface breach. *)
 
 val pp_component : Format.formatter -> component -> unit
-val pp_cset : Format.formatter -> Cset.t -> unit
-val pp : Format.formatter -> t -> unit
+
+val pp_summary : Model.System.t -> max_crashes:int -> Format.formatter -> t array -> unit
+(** Per-task footprints, then the independence census over task pairs. *)

@@ -9,7 +9,7 @@ type bound = Fin of int | Inf
 
 type t = Bot | Range of int * bound
 
-include Domain.LATTICE with type t := t
+include Lattice.S with type t := t
 
 val bot : t
 val zero : t

@@ -1,4 +1,4 @@
-module type LATTICE = sig
+module type S = sig
   type t
 
   val leq : t -> t -> bool

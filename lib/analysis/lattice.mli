@@ -8,7 +8,7 @@
     [join]; the solver still routes late updates through [widen] so an
     unbounded domain added later terminates too. *)
 
-module type LATTICE = sig
+module type S = sig
   type t
 
   val leq : t -> t -> bool

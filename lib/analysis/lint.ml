@@ -6,7 +6,7 @@ type severity = Error | Warning | Info
 
 type finding = { code : string; severity : severity; subject : string; detail : string }
 
-type report = { findings : finding list; reach : Reach.t; interference : Interfere.t }
+type report = { findings : finding list; reach : Reach.t; footprints : Footprint.t array }
 
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
@@ -17,9 +17,9 @@ let compare_finding a b =
     let c = String.compare a.code b.code in
     if c <> 0 then c else String.compare a.subject b.subject
 
-let analyze ?max_faults ?inputs ?(gaps = []) (sys : System.t) =
-  let r = Reach.analyze ?max_faults ?inputs sys in
-  let interference = Interfere.analyze ~reach:r ?max_crashes:max_faults sys in
+let analyze ?(max_faults = 1) ?inputs ?(gaps = []) (sys : System.t) =
+  let r = Reach.analyze ~max_faults ?inputs sys in
+  let footprints = Footprint.of_system ~reach:r ~max_crashes:max_faults sys in
   let fs = ref [] in
   let add code severity subject detail = fs := { code; severity; subject; detail } :: !fs in
   (* Guarantee-vector typing: the registered claim exceeds the meet of the
@@ -35,15 +35,15 @@ let analyze ?max_faults ?inputs ?(gaps = []) (sys : System.t) =
   (* Write-write/write-read conflicts between tasks that can never share a
      participant: a would-be Lemma 8 violation surfaced statically. *)
   List.iter
-    (fun (race : Interfere.race) ->
+    (fun (race : Footprint.race) ->
       add "static-race" Warning
-        (Format.asprintf "tasks %a / %a" Model.Task.pp race.Interfere.e Model.Task.pp
-           race.Interfere.e')
+        (Format.asprintf "tasks %a / %a" Model.Task.pp race.Footprint.e Model.Task.pp
+           race.Footprint.e')
         (Format.asprintf
            "share written component %a without a shared participant (Lemma 8 gives no \
             commutation discipline for the pair)"
-           Footprint.pp_component race.Interfere.component))
-    (Interfere.races interference);
+           Footprint.pp_component race.Footprint.component))
+    (Footprint.races sys footprints);
   (* §3.1 assumption breaches and endpoint-discipline bugs surfaced by the
      transfer probes. *)
   List.iter
@@ -113,7 +113,7 @@ let analyze ?max_faults ?inputs ?(gaps = []) (sys : System.t) =
               "may be decided although no process proposed it (potential validity violation)")
         decided
     | _ -> ());
-  { findings = List.sort_uniq compare_finding !fs; reach = r; interference }
+  { findings = List.sort_uniq compare_finding !fs; reach = r; footprints }
 
 let severity_name = function Error -> "error" | Warning -> "warning" | Info -> "info"
 
@@ -125,32 +125,24 @@ let pp_finding ppf f =
 let pp ppf r =
   Format.fprintf ppf "@[<v>";
   List.iter (fun f -> Format.fprintf ppf "%a@," pp_finding f) r.findings;
-  Format.fprintf ppf "%a@," Interfere.pp_summary r.interference;
+  Format.fprintf ppf "%a@,"
+    (Footprint.pp_summary r.reach.Reach.sys ~max_crashes:r.reach.Reach.max_faults)
+    r.footprints;
   Format.fprintf ppf "%d finding(s); crashes %a; fixpoint in %d iteration(s), %d widening(s)@]"
     (List.length r.findings) Interval.pp
     (Reach.crash_interval r.reach)
     r.reach.Reach.stats.Fixpoint.iterations r.reach.Reach.stats.Fixpoint.widenings
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_finding ~protocol f =
-  Printf.sprintf
-    {|{"protocol":"%s","severity":"%s","rule":"%s","subject":"%s","message":"%s"}|}
-    (json_escape protocol) (severity_name f.severity) (json_escape f.code)
-    (json_escape f.subject) (json_escape f.detail)
+  Json.(
+    Obj
+      [
+        "protocol", String protocol;
+        "severity", String (severity_name f.severity);
+        "rule", String f.code;
+        "subject", String f.subject;
+        "message", String f.detail;
+      ])
 
 let exit_code r =
   if List.exists (fun f -> f.severity <> Info) r.findings then 1 else 0

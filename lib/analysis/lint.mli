@@ -13,7 +13,7 @@
       resilience claim exceeding the endpoint count; [static-race]: two
       tasks share a written state component yet can never share a
       participant, stepping outside the Lemma 8 commutation discipline —
-      see {!Interfere.races});
+      see {!Footprint.races});
     - [info] findings are interface observations ([dead-task],
       [not-connected-to-all], [wait-free-claim], [decide-outside-inputs])
       whose severity depends on intent.
@@ -26,7 +26,11 @@ type severity = Error | Warning | Info
 
 type finding = { code : string; severity : severity; subject : string; detail : string }
 
-type report = { findings : finding list; reach : Reach.t; interference : Interfere.t }
+type report = {
+  findings : finding list;
+  reach : Reach.t;
+  footprints : Footprint.t array;  (** {!Footprint.of_system}, by task position. *)
+}
 
 val analyze :
   ?max_faults:int ->
@@ -34,15 +38,13 @@ val analyze :
   ?gaps:Guarantee.gap list ->
   Model.System.t ->
   report
-(** [gaps] (from {!Guarantee.gaps} against the protocol's registered claim)
-    are folded in as [guarantee-gap] findings at [Info] severity — expected
+(** [max_faults] (default 1) bounds the crashes in the contexts analyzed,
+    footprints included. [gaps] (from {!Guarantee.gaps} against the
+    protocol's registered claim) are folded in as [guarantee-gap] findings at [Info] severity — expected
     paper-explanations for the boosting protocols, not defects. *)
 
 val severity_name : severity -> string
 (** ["error"] / ["warning"] / ["info"] — the JSON rendering. *)
-
-val json_escape : string -> string
-(** JSON string-body escaping shared by every JSON emitter in the repo. *)
 
 val pp_severity : Format.formatter -> severity -> unit
 val pp_finding : Format.formatter -> finding -> unit
@@ -50,13 +52,13 @@ val pp_finding : Format.formatter -> finding -> unit
 
 val pp : Format.formatter -> report -> unit
 (** All findings, one per line, then the per-task footprint summary and
-    independence census ({!Interfere.pp_summary}), then a summary line with
+    independence census ({!Footprint.pp_summary}), then a summary line with
     the crash-count interval covered and solver statistics. *)
 
-val json_of_finding : protocol:string -> finding -> string
-(** One finding as a single-line JSON object:
-    [{"protocol":…,"severity":…,"rule":…,"subject":…,"message":…}] — the
-    machine-readable shape behind [boost lint --json]. *)
+val json_of_finding : protocol:string -> finding -> Json.t
+(** One finding as a JSON object with members protocol, severity, rule,
+    subject and message, in that order — the machine-readable shape behind
+    [boost lint --json]. *)
 
 val exit_code : report -> int
 (** 0 when no finding is worse than [Info]; 1 otherwise. *)

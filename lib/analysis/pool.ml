@@ -1,5 +1,3 @@
-(* [Stdlib.Domain]: this library's own [Domain] is the abstract lattices. *)
-
 let map ?(stop = fun () -> false) ~jobs n f =
   let results = Array.make n None in
   let next = Atomic.make 0 in
@@ -22,9 +20,9 @@ let map ?(stop = fun () -> false) ~jobs n f =
   in
   (* Clamped to the machine: past the core count, every minor-collection
      barrier waits on descheduled domains to reach a safepoint. *)
-  let domains = max 1 (min (min jobs (Stdlib.Domain.recommended_domain_count ())) n) in
-  let spawned = List.init (domains - 1) (fun _ -> Stdlib.Domain.spawn worker) in
+  let domains = max 1 (min (min jobs (Domain.recommended_domain_count ())) n) in
+  let spawned = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
   worker ();
-  List.iter Stdlib.Domain.join spawned;
+  List.iter Domain.join spawned;
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get failure);
   results

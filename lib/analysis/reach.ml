@@ -121,7 +121,7 @@ let analyze ?(max_faults = 1) ?inputs (sys : System.t) =
   in
   let values, stats =
     FP.solve ~n:(Array.length fsets) ~bot:Astate.Bot ~rhs
-      ~dependents:(fun u -> dependents.(u)) ()
+      ~dependents:(fun u -> dependents.(u))
   in
   harvest ~max_faults ~fsets ~values ~stats sys
 

@@ -8,7 +8,7 @@
 
 type t = Top | Set of Ioa.Value.t list  (** Sorted, duplicate-free. *)
 
-include Domain.LATTICE with type t := t
+include Lattice.S with type t := t
 
 val cap : int
 (** Cardinality bound before collapsing to [Top] (24). *)

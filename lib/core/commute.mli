@@ -27,7 +27,7 @@ val commute_at :
   Model.System.t -> Model.State.t -> Model.Task.t -> Model.Task.t ->
   (unit, mismatch) result
 (** The state-level commutation check both {!check_disjoint} and the static
-    independence tests ({!Analysis.Interfere}'s differential suites) share:
+    independence tests (the footprint suites' differentials) share:
     apply the tasks in both orders from [s] under [policy] (default: prefer
     real) and compare the final states. *)
 

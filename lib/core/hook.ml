@@ -143,7 +143,10 @@ let locate_hook analysis ~cur ~e ~base_path =
     in
     scan valences
 
-let find ?(max_path = 10_000) analysis =
+(* Bound on the constructed bivalent path before it is reported [Unbounded]. *)
+let max_path = 10_000
+
+let find analysis =
   let g = Valence.graph analysis in
   if not (Graph.complete g) then Inexact
   else if not (Valence.equal_verdict (Valence.verdict analysis (Graph.root g)) Valence.Bivalent)

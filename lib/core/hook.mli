@@ -31,10 +31,10 @@ type search =
 
 val pp_result : Format.formatter -> search -> unit
 
-val find : ?max_path:int -> Valence.t -> search
+val find : Valence.t -> search
 (** The Fig. 3 round-robin path construction, followed by the Lemma 5 scan
-    when it terminates. [max_path] (default 10_000) bounds the constructed
-    bivalent path. *)
+    when it terminates. A constructed bivalent path longer than 10,000
+    steps is reported [Unbounded]. *)
 
 val find_brute : Valence.t -> t option
 (** Exhaustive hook search over all vertices and task pairs — the

@@ -97,27 +97,6 @@ let system ~obj ~ops =
   let processes = List.mapi (fun pid op -> client ~obj ~n ~op pid) ops in
   Model.System.make ~processes ~services:(registers @ slots)
 
-(* --- multi-shot helpers ---------------------------------------------------
-
-   The workload engine's long-lived replicated object is this construction
-   iterated: each consensus shot commits a batch of operations, and every
-   replica advances its copy of the object by applying the batch in commit
-   order. Catch-up after a crash is [replay] of the full commit log — the
-   same fold a live replica performed incrementally, so a caught-up replica
-   is byte-equal to one that never crashed. *)
-
-let apply_log obj ~init cmds =
-  let value, rev_resps =
-    List.fold_left
-      (fun (v, acc) op ->
-        let resp, v' = Spec.Seq_type.apply obj op v in
-        v', resp :: acc)
-      (init, []) cmds
-  in
-  value, List.rev rev_resps
-
-let replay obj cmds = apply_log obj ~init:(List.hd obj.Spec.Seq_type.initials) cmds
-
 let state_fields_with_replica ps =
   if is "propose" ps || is "deciding" ps then Some (field ps 1, field ps 2)
   else if is "fetch" ps || is "fetching" ps then Some (field ps 2, field ps 3)

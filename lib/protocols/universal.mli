@@ -11,7 +11,11 @@
     [decide]. Because every replica applies the same operations in the same
     slot order, the implemented object is linearizable; because slot winners
     are always still-proposing processes, each process commits within n
-    slots, so with wait-free slot consensus the construction is wait-free. *)
+    slots, so with wait-free slot consensus the construction is wait-free.
+
+    The workload engine ({!Workload}) runs this construction multi-shot:
+    its replicas apply each committed batch and catch up after a crash
+    through {!Workload.Replica.apply_cmd} and {!Workload.Replica.catch_up}. *)
 
 open Ioa
 
@@ -24,16 +28,6 @@ val system : obj:Spec.Seq_type.t -> ops:Value.t list -> Model.System.t
     delivered to it via [init] (any [init] input just triggers the published
     op, keeping the harness uniform). The response each process records via
     [decide] is [obj]'s response to its own operation at its commit point. *)
-
-val apply_log : Spec.Seq_type.t -> init:Value.t -> Value.t list -> Value.t * Value.t list
-(** Fold a commit log (operations in commit order) over a replica value:
-    the final value and the per-operation responses in order. The multi-shot
-    workload engine's replicas advance by [apply_log] of each decided batch. *)
-
-val replay : Spec.Seq_type.t -> Value.t list -> Value.t * Value.t list
-(** [apply_log] from the type's first initial value — the crash-recovery
-    catch-up path: a rejoining replica replays the full commit log and lands
-    byte-equal to a replica that never crashed. *)
 
 val log_of : Model.State.t -> pid:int -> int list
 (** The commit log (winning pids in slot order) as known to [pid]. *)

@@ -3,9 +3,9 @@
     A replica's volatile state — object value, position in the commit log,
     and the (client, seq) idempotency table — is lost on crash and rebuilt
     by {e catch-up}: replaying the commit log from the start at a bounded
-    rate per tick ({!Protocols.Universal.apply_log} iterated). Because
-    replay runs the identical deterministic apply (duplicates skipped by the
-    same rule), a caught-up replica is byte-equal to one that never crashed;
+    rate per tick ({!catch_up}, which runs {!apply_cmd} on each entry).
+    Because replay runs the identical deterministic apply (duplicates
+    skipped by the same rule), a caught-up replica is byte-equal to one that never crashed;
     the engine asserts this cross-replica consistency at end of run. *)
 
 open Ioa

@@ -52,7 +52,7 @@ let test_fixpoint_chain () =
     else A.Interval.join (A.Interval.add (get (u - 1)) 1) (A.Interval.add (get u) 1)
   in
   let dependents u = if u < 2 then [ u + 1; u ] else [ u ] in
-  let sol, stats = F.solve ~n:3 ~bot:A.Interval.bot ~rhs ~dependents () in
+  let sol, stats = F.solve ~n:3 ~bot:A.Interval.bot ~rhs ~dependents in
   Alcotest.check interval_testable "seed exact" A.Interval.zero sol.(0);
   Alcotest.(check bool) "widened to ∞" true
     (A.Interval.equal sol.(1) (A.Interval.unbounded 1));
@@ -166,41 +166,6 @@ let test_golden_flawed_blank () =
   Alcotest.(check (option (list int))) "engine confirms blank" (Some [])
     (concrete_decided (flawed_system ~n:2) [ 1; 0 ])
 
-(* --- the streaming explorer, pinned to the sequential oracle --- *)
-
-let cfg ?(horizon = 12) () =
-  { Chaos.Explore.max_faults = 1; horizon; stride = 1; budget = 100_000; max_steps = 2_000;
-    kinds = [ Chaos.Schedule.Crash_k ]; degrade = false }
-
-let report_sig (r : Chaos.Explore.report) =
-  (* Everything {!Chaos.Explore.run_par} must reproduce byte-identically. *)
-  Format.asprintf "%d/%d/%b/%d/%d/%d/%s" r.Chaos.Explore.examined r.Chaos.Explore.space
-    r.Chaos.Explore.truncated r.Chaos.Explore.step_budget_hits
-    r.Chaos.Explore.monitor_truncations r.Chaos.Explore.undelivered_crashes
-    (match r.Chaos.Explore.violation with
-    | None -> "clean"
-    | Some v ->
-      Chaos.Schedule.to_string v.Chaos.Explore.schedule
-      ^ "|" ^ v.Chaos.Explore.monitor ^ "|" ^ v.Chaos.Explore.reason
-      ^ "|" ^ string_of_bool v.Chaos.Explore.proven)
-
-let differential ?horizon sys =
-  let config = cfg ?horizon () in
-  let oracle = Chaos.Explore.run ~config sys in
-  let par = Chaos.Explore.run_par ~config ~dedup:false sys in
-  Alcotest.(check string) "report identical" (report_sig oracle) (report_sig par)
-
-let test_prune_direct_clean () =
-  (* f = 1 tolerates the single crash: every schedule is clean. *)
-  differential (Protocols.Direct.system ~n:2 ~f:1)
-
-let test_prune_tob_clean () = differential ~horizon:40 (Protocols.Tob_direct.system ~n:2 ~f:1)
-
-let test_prune_direct_violating () =
-  (* f = 0: the rank-least violation (crash@0:0) ends the scan, so the
-     reports coincide including the violation. *)
-  differential (Protocols.Direct.system ~n:2 ~f:0)
-
 let suite =
   ( "analysis",
     [
@@ -210,8 +175,4 @@ let suite =
       qcheck_abstract_over_approximates;
       Alcotest.test_case "registry lints clean" `Slow test_registry_lints_clean;
       Alcotest.test_case "golden flawed candidate" `Quick test_golden_flawed_blank;
-      Alcotest.test_case "prune differential: direct clean" `Quick test_prune_direct_clean;
-      Alcotest.test_case "prune differential: tob clean" `Quick test_prune_tob_clean;
-      Alcotest.test_case "prune differential: direct violating" `Quick
-        test_prune_direct_violating;
     ] )

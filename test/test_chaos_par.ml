@@ -1,10 +1,10 @@
 (* The parallel deduplicated explorer, pinned to the sequential oracle.
 
    The sequential Explore.run path is untouched by the parallel engine and
-   serves as the trusted oracle: on small crash-only spaces (n ≤ 3,
-   horizon ≤ 6, ≤ 2 faults) and on every-kind spaces at the default horizon,
-   the parallel explorer must report the same verdict and every counter but
-   the prune counts at every -j, with and without fingerprint dedup. QCheck
+   serves as the trusted oracle: on crash-only spaces (n ≤ 3, horizon ≤ 40,
+   ≤ 2 faults), on mixed crash+net spaces and on every-kind spaces at the
+   default horizon, the parallel explorer must report the same verdict and
+   every counter but the prune counts, with and without fingerprint dedup. QCheck
    properties cover fingerprint soundness and the order-insensitivity of
    report merging; a regression case nails the silent-budget footgun on the
    parallel path. *)
@@ -82,6 +82,67 @@ let test_differential_register_vote_all_kinds () =
           degrade;
         })
     [ false; true ]
+
+(* Crash-only spaces at longer horizons: f = 1 tolerates the single crash,
+   so every schedule of direct and tob is clean; with f = 0 the rank-least
+   violation (crash@0:0) ends the scan, so the reports coincide including
+   the violation. *)
+let test_differential_direct_clean () =
+  check_differential "direct f=1 h=12" (Protocols.Direct.system ~n:2 ~f:1) ~max_faults:1
+    ~horizon:12
+
+let test_differential_direct_violating () =
+  check_differential "direct f=0 h=12" (Protocols.Direct.system ~n:2 ~f:0) ~max_faults:1
+    ~horizon:12
+
+let test_differential_tob_clean () =
+  check_differential "tob f=1 h=40" (Protocols.Tob_direct.system ~n:2 ~f:1) ~max_faults:1
+    ~horizon:40
+
+(* Mixed-kind spaces: tob's crash+drop space in full, and a register-vote
+   sweep over every kind but silence, truncated by its schedule budget. *)
+let net_config sys ~kinds ~budget =
+  { (Chaos.Explore.default_config sys) with
+    Chaos.Explore.max_faults = 1;
+    kinds;
+    budget;
+    max_steps = 4_000;
+  }
+
+let tob_mixed () =
+  let sys = Protocols.Tob_direct.system ~n:3 ~f:1 in
+  sys, net_config sys ~kinds:Chaos.Schedule.[ Crash_k; Drop_k ] ~budget:1_000_000
+
+let check_no_dedup what sys config =
+  let oracle = Chaos.Explore.run ~config sys in
+  List.iter
+    (fun j ->
+      let par = Chaos.Explore.run_par ~config ~domains:j ~dedup:false sys in
+      Alcotest.check report_sig_testable
+        (Printf.sprintf "-j%d %s matches the sequential oracle" j what)
+        (report_sig oracle) (report_sig par))
+    [ 1; 2 ]
+
+let test_differential_tob_mixed () =
+  let sys, config = tob_mixed () in
+  check_no_dedup "report" sys config
+
+let test_differential_register_vote_truncated () =
+  let sys = Protocols.Register_vote.system () in
+  check_no_dedup "truncated sweep" sys
+    (net_config sys
+       ~kinds:Chaos.Schedule.[ Crash_k; Drop_k; Dup_k; Delay_k; Partition_k ]
+       ~budget:60)
+
+(* Mixed-kind spaces compose with dedup too: a pruned twin inherits its
+   recorded suffix's verdict and counters, so the whole report, violation
+   included, pins to the oracle. *)
+let test_mixed_dedup () =
+  let sys, config = tob_mixed () in
+  let oracle = Chaos.Explore.run ~config sys in
+  let par = Chaos.Explore.run_par ~config ~domains:2 ~dedup:true sys in
+  Alcotest.check report_sig_testable "dedup report matches the oracle" (report_sig oracle)
+    (report_sig par)
 
 (* --- Satellite 2: fingerprint soundness --- *)
 
@@ -322,6 +383,16 @@ let suite =
         test_differential_direct_all_kinds;
       Alcotest.test_case "differential: register-vote all kinds at -j 1,2,4" `Quick
         test_differential_register_vote_all_kinds;
+      Alcotest.test_case "differential: direct clean h=12" `Quick
+        test_differential_direct_clean;
+      Alcotest.test_case "differential: direct violating h=12" `Quick
+        test_differential_direct_violating;
+      Alcotest.test_case "differential: tob clean h=40" `Quick test_differential_tob_clean;
+      Alcotest.test_case "differential: tob mixed crash+drop" `Quick
+        test_differential_tob_mixed;
+      Alcotest.test_case "differential: register-vote truncated all-kind sweep" `Quick
+        test_differential_register_vote_truncated;
+      Alcotest.test_case "dedup on mixed kinds matches the oracle" `Quick test_mixed_dedup;
       Alcotest.test_case "fingerprints are structural" `Quick test_fingerprint_structural;
       qcheck_fingerprint_replay;
       qcheck_dedup_preserves_verdicts;

@@ -1,10 +1,11 @@
-(* The static interference relation, pinned to the concrete semantics.
+(* Task footprints' independence relation, pinned to the concrete semantics.
 
    The soundness obligation is directional: whenever the footprints declare
    two tasks independent, the concrete transition function must commute
    them — same final state, applicability preserved either way, under
    either policy resolution. The converse (interfering pairs that happen to
-   commute) is allowed slack. *)
+   commute) is allowed slack. Footprints are read by task position, as
+   {!Analysis.Footprint.of_system} returns them. *)
 
 open Helpers
 module A = Analysis
@@ -29,14 +30,14 @@ let policies = [ Model.System.real_policy; Model.System.dummy_policy ]
 
 (* Every statically-independent claim the analysis makes at [s] must hold
    concretely; returns a counterexample description, or None. *)
-let independence_sound inter sys s =
+let independence_sound fps sys s =
   let tasks = sys.Model.System.tasks in
   let n = Array.length tasks in
   let bad = ref None in
   let note msg = if !bad = None then bad := Some msg in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if A.Interfere.independent inter tasks.(i) tasks.(j) then
+      if A.Footprint.independent fps.(i) fps.(j) then
         List.iter
           (fun policy ->
             if not (commutes ~policy sys s tasks.(i) tasks.(j)) then
@@ -94,8 +95,8 @@ let qcheck_walk_soundness =
             | None -> ())
         picks;
       let reach = A.Reach.analyze ~max_faults:max_crashes ~inputs:(int_inputs bits) sys in
-      let inter = A.Interfere.analyze ~reach ~max_crashes sys in
-      match independence_sound inter sys !s with
+      let fps = A.Footprint.of_system ~reach ~max_crashes sys in
+      match independence_sound fps sys !s with
       | None -> true
       | Some msg -> QCheck2.Test.fail_report msg)
 
@@ -109,11 +110,11 @@ let test_exhaustive_small () =
       let sys = build name in
       let inputs = List.init (Model.System.n_processes sys) (fun i -> i mod 2) in
       let reach = A.Reach.analyze ~max_faults:1 ~inputs:(int_inputs inputs) sys in
-      let inter = A.Interfere.analyze ~reach ~max_crashes:1 sys in
+      let fps = A.Footprint.of_system ~reach ~max_crashes:1 sys in
       let g = Engine.Graph.explore sys (Model.System.initialize sys (int_inputs inputs)) in
       if not (Engine.Graph.complete g) then Alcotest.failf "%s: G(C) did not materialize" name;
       Engine.Graph.iter_states g (fun _ s ->
-          match independence_sound inter sys s with
+          match independence_sound fps sys s with
           | None -> ()
           | Some msg -> Alcotest.failf "%s: %s" name msg))
     small_protocols
@@ -128,7 +129,11 @@ let test_interference_covers_disjoint_violations () =
   List.iter
     (fun name ->
       let sys = build name in
-      let inter = A.Interfere.analyze sys in
+      let fps = A.Footprint.of_system sys in
+      let pos tk =
+        let rec go i = if Model.Task.equal sys.Model.System.tasks.(i) tk then i else go (i + 1) in
+        go 0
+      in
       let g = Engine.Graph.explore sys (Model.System.initialize sys (int_inputs [ 1; 0 ])) in
       let a = Engine.Valence.analyze g in
       List.iter
@@ -137,7 +142,10 @@ let test_interference_covers_disjoint_violations () =
             (Format.asprintf "%s: %a/%a flagged interfering" name Model.Task.pp
                v.Engine.Commute.e Model.Task.pp v.Engine.Commute.e')
             true
-            (A.Interfere.interferes inter v.Engine.Commute.e v.Engine.Commute.e'))
+            (not
+               (A.Footprint.independent
+                  fps.(pos v.Engine.Commute.e)
+                  fps.(pos v.Engine.Commute.e'))))
         (Engine.Commute.check_disjoint a);
       Alcotest.(check int)
         (name ^ ": Lemma 8 discipline holds concretely")
@@ -152,11 +160,10 @@ let test_registry_race_free () =
   List.iter
     (fun e ->
       let sys = e.Protocols.Registry.build Protocols.Registry.default_params in
-      let inter = A.Interfere.analyze sys in
       Alcotest.(check int)
         (e.Protocols.Registry.name ^ " has no static races")
         0
-        (List.length (A.Interfere.races inter)))
+        (List.length (A.Footprint.races sys (A.Footprint.of_system sys))))
     Protocols.Registry.all
 
 let suite =

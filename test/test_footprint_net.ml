@@ -1,26 +1,17 @@
-(* Task footprints against the network adversary, and the explorer on
-   net-fault spaces. (The suite keeps its historical name, "net-por".)
+(* Task footprints against the network adversary.
 
-   Two layers of evidence:
-
-   1. footprint soundness — a task whose footprint neither reads nor writes
-      an endpoint's response buffer commutes with every omission delivery
-      (drop/dup/delay) on that buffer, and the runner's partition gate only
-      ever holds back tasks whose footprint reads [Net_topology]: checked
-      by QCheck from random reachable states and exhaustively over a small
-      G(C);
-   2. differential oracles — {!Chaos.Explore.run_par}'s reports, with and
-      without dedup, pinned field-for-field against the plain sequential
-      explorer on tob's mixed crash+drop space and a truncated
-      register-vote sweep over all kinds. *)
+   A task whose footprint neither reads nor writes an endpoint's response
+   buffer commutes with every omission delivery (drop/dup/delay) on that
+   buffer, and the runner's partition gate only ever holds back tasks whose
+   footprint reads [Net_topology]. Both are checked by QCheck from random
+   reachable states and exhaustively over a small G(C). Footprints are read
+   by task position, as {!Analysis.Footprint.of_system} returns them. *)
 
 open Helpers
 module Fp = Analysis.Footprint
-module If = Analysis.Interfere
 
 let direct_f1 () = Protocols.Direct.system ~n:2 ~f:1
 let tob2 () = Protocols.Tob_direct.system ~n:2 ~f:0
-let tob3 () = Protocols.Tob_direct.system ~n:3 ~f:1
 
 let sites sys =
   Array.to_list sys.Model.System.services
@@ -35,26 +26,29 @@ let net_kinds =
 (* One analysis context per system, shared across QCheck iterations. *)
 type ctx = {
   sys : Model.System.t;
-  inter : If.t;
+  fps : Fp.t array;
   ss : (string * int) list;
   tasks : Model.Task.t array;
 }
 
 let ctx sys =
-  { sys; inter = If.analyze ~max_crashes:1 sys; ss = sites sys; tasks = sys.Model.System.tasks }
+  {
+    sys;
+    fps = Fp.of_system ~max_crashes:1 sys;
+    ss = sites sys;
+    tasks = sys.Model.System.tasks;
+  }
 
 (* An omission delivery reads and rewrites exactly its target response
    buffer (reading covers the vacuousness test), so a task whose footprint
-   does not touch that buffer is independent of it. *)
-let omission_independent { sys; inter; _ } (service, endpoint) tk =
-  let fp = If.footprint inter tk in
+   does not touch that buffer is independent of it. [ti] is a task
+   position. *)
+let omission_independent { sys; fps; _ } (service, endpoint) ti =
+  let fp = fps.(ti) in
   not
     (Fp.Cset.mem
        (Fp.Svc_resp (Model.System.service_pos sys service, endpoint))
        (Fp.Cset.union fp.Fp.reads fp.Fp.writes))
-
-let reads_topology { inter; _ } tk =
-  Fp.Cset.mem Fp.Net_topology (If.footprint inter tk).Fp.reads
 
 let ctxs = lazy [| ctx (direct_f1 ()); ctx (tob2 ()) |]
 let pick_ctx i = (Lazy.force ctxs).((abs i) mod 2)
@@ -108,19 +102,19 @@ let omission_task_commutes { sys; _ } ~policy s ~site:(service, endpoint) ~kind 
   && Option.equal Model.Event.equal t1 t2
   && Model.State.equal s1 s2
 
-(* The first (site, task) pair from a rotating offset the footprints
-   declare independent — every QCheck iteration then validates a real
-   claim. *)
+(* The first (site, task position) pair from a rotating offset the
+   footprints declare independent — every QCheck iteration then validates a
+   real claim. *)
 let independent_site_task c off =
   let combos =
-    List.concat_map (fun site -> Array.to_list (Array.map (fun tk -> site, tk) c.tasks)) c.ss
+    List.concat_map (fun site -> List.init (Array.length c.tasks) (fun ti -> site, ti)) c.ss
   in
   let n = List.length combos in
   let rec go i =
     if i >= n then None
     else
-      let site, tk = List.nth combos ((off + i) mod n) in
-      if omission_independent c site tk then Some (site, tk)
+      let site, ti = List.nth combos ((off + i) mod n) in
+      if omission_independent c site ti then Some (site, ti)
       else go (i + 1)
   in
   go 0
@@ -143,11 +137,11 @@ let qcheck_omission_task_sound name kind =
       let s = walk c moves in
       match independent_site_task c off with
       | None -> true
-      | Some (site, tk) ->
+      | Some (site, ti) ->
         let policy =
           if pol then Model.System.real_policy else Model.System.dummy_policy
         in
-        omission_task_commutes c ~policy s ~site ~kind tk)
+        omission_task_commutes c ~policy s ~site ~kind c.tasks.(ti))
 
 (* Topology ⇄ task: the runner's partition gate ([Schedule.blocked]) may
    only ever hold back tasks whose footprint reads the topology — any other
@@ -164,11 +158,11 @@ let topology_gate_respects_independence c s =
       in
       let comp = Chaos.Schedule.compile sched c.sys in
       ignore (Chaos.Schedule.due comp ~step:0);
-      Array.for_all
-        (fun tk ->
+      Array.for_all2
+        (fun tk (fp : Fp.t) ->
           (not (Chaos.Schedule.blocked comp c.sys s tk))
-          || reads_topology c tk)
-        c.tasks)
+          || Fp.Cset.mem Fp.Net_topology fp.Fp.reads)
+        c.tasks c.fps)
     (blocks_variants (Model.System.n_processes c.sys))
 
 let qcheck_topology_task_sound =
@@ -230,9 +224,9 @@ let test_exhaustive_small_gc () =
       (* Every omission kind vs every task, both policies. *)
       List.iter
         (fun site ->
-          Array.iter
-            (fun tk ->
-              if omission_independent c site tk then
+          Array.iteri
+            (fun ti tk ->
+              if omission_independent c site ti then
                 List.iter
                   (fun kind ->
                     List.iter
@@ -251,67 +245,8 @@ let test_exhaustive_small_gc () =
     states;
   Alcotest.(check bool) "exhaustive sweep nonvacuous" true (!checked > 1_000)
 
-(* --- differential oracles: run_par with and without dedup vs the sequential run --- *)
-
-let config sys ~kinds ~max_faults ~budget =
-  { (Chaos.Explore.default_config sys) with
-    Chaos.Explore.max_faults;
-    kinds;
-    budget;
-    max_steps = 4_000;
-  }
-
-let tob_mixed () =
-  let sys = tob3 () in
-  ( sys,
-    config sys ~kinds:[ Chaos.Schedule.Crash_k; Chaos.Schedule.Drop_k ] ~max_faults:1
-      ~budget:1_000_000 )
-
-let test_differential_tob_mixed () =
-  let sys, cfg = tob_mixed () in
-  let oracle = Chaos.Explore.run ~config:cfg sys in
-  List.iter
-    (fun j ->
-      let par =
-        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false sys
-      in
-      Alcotest.check report_sig_testable
-        (Printf.sprintf "-j%d report matches the sequential oracle" j)
-        (report_sig oracle) (report_sig par))
-    [ 1; 2 ]
-
-let test_differential_register_vote_truncated () =
-  let sys = Protocols.Register_vote.system () in
-  let cfg =
-    config sys
-      ~kinds:
-        [ Chaos.Schedule.Crash_k; Chaos.Schedule.Drop_k; Chaos.Schedule.Dup_k;
-          Chaos.Schedule.Delay_k; Chaos.Schedule.Partition_k ]
-      ~max_faults:1 ~budget:60
-  in
-  let oracle = Chaos.Explore.run ~config:cfg sys in
-  List.iter
-    (fun j ->
-      let par =
-        Chaos.Explore.run_par ~config:cfg ~domains:j ~dedup:false sys
-      in
-      Alcotest.check report_sig_testable
-        (Printf.sprintf "-j%d truncated sweep matches the sequential oracle" j)
-        (report_sig oracle) (report_sig par))
-    [ 1; 2 ]
-
-(* Mixed-kind spaces compose with dedup too: a pruned twin inherits its
-   recorded suffix's verdict and counters, so the whole report, violation
-   included, pins to the oracle. *)
-let test_mixed_dedup () =
-  let sys, cfg = tob_mixed () in
-  let oracle = Chaos.Explore.run ~config:cfg sys in
-  let par = Chaos.Explore.run_par ~config:cfg ~domains:2 ~dedup:true sys in
-  Alcotest.check report_sig_testable "dedup report matches the oracle" (report_sig oracle)
-    (report_sig par)
-
 let suite =
-  ( "net-por",
+  ( "footprint-net",
     [
       Alcotest.test_case "independence claims are nonvacuous" `Quick
         test_independent_pairs_exist;
@@ -321,9 +256,4 @@ let suite =
       qcheck_topology_task_sound;
       Alcotest.test_case "exhaustive small-G(C) order swaps" `Quick
         test_exhaustive_small_gc;
-      Alcotest.test_case "differential: tob mixed crash+drop" `Quick
-        test_differential_tob_mixed;
-      Alcotest.test_case "differential: register-vote truncated all-kind sweep" `Quick
-        test_differential_register_vote_truncated;
-      Alcotest.test_case "dedup on mixed kinds matches the oracle" `Quick test_mixed_dedup;
     ] )

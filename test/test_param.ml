@@ -21,6 +21,7 @@ module Astate = Analysis.Astate
 module Cert = Analysis.Cert
 module Cache = Analysis.Cache
 module Codec = Analysis.Codec
+module Json = Analysis.Json
 
 let scratch =
   let counter = ref 0 in
@@ -143,8 +144,9 @@ let test_cert_roundtrip () =
   let b = Buffer.create 1024 in
   Cert.encode b cert;
   let cert' = Cert.decode (Codec.cursor (Buffer.contents b)) in
-  Alcotest.(check string) "json identical through the codec" (Cert.json cert)
-    (Cert.json cert');
+  Alcotest.(check string) "json identical through the codec"
+    (Json.compact (Cert.json cert))
+    (Json.compact (Cert.json cert'));
   (* The derived views are rebuilt, not stored: still present after decode. *)
   Alcotest.(check int) "stable re-derived"
     (List.length cert.Cert.stable)
@@ -160,8 +162,9 @@ let test_warm_sweep_hits () =
     (c1.Cache.stats.Cache.writes > 0);
   let c2 = Cache.open_ ~dir in
   let warm = Registry.certify ~cache:c2 (entry "direct") in
-  Alcotest.(check string) "warm replay byte-identical" (Cert.json cold)
-    (Cert.json warm);
+  Alcotest.(check string) "warm replay byte-identical"
+    (Json.compact (Cert.json cold))
+    (Json.compact (Cert.json warm));
   Alcotest.(check int) "warm sweep: one pcert hit" 1 c2.Cache.stats.Cache.hits;
   Alcotest.(check int) "warm sweep: zero misses" 0 c2.Cache.stats.Cache.misses;
   (* The CI gate's shape: hit rate ≥ 50% across the warm sweep. *)
@@ -198,7 +201,7 @@ let test_stats_json_kinds () =
   Cache.store c ~kind:"lint" ~key:"k2" "y";
   Cache.store c ~kind:"pcert" ~key:"k3" "z";
   Cache.write_manifest c [];
-  let json = Cache.stats_json c in
+  let json = Json.pretty (Cache.stats_json c) in
   Alcotest.(check bool) "kinds object present" true (contains json "\"kinds\"");
   Alcotest.(check bool) "pcert counted" true (contains json "\"pcert\": 2");
   Alcotest.(check bool) "lint counted" true (contains json "\"lint\": 1");
