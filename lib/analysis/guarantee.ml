@@ -59,11 +59,12 @@ let of_service (c : Service.t) : Gvector.t =
 
 (* ---- composition -------------------------------------------------------- *)
 
-(* Union-find over process ids; each service merges its endpoint set. The
-   number of remaining components among 0..n-1 is the composed scope: > 1
-   means no service spans the islands, so no cross-island coordination has a
-   carrier (Theorem 2's situation in the k-set construction, §4). *)
-let islands (sys : System.t) =
+(* Union-find over process ids; each service merges every pair of its
+   endpoints that [linked] admits. The number of remaining components among
+   0..n-1 is the composed scope: > 1 means no service spans the islands, so
+   no cross-island coordination has a carrier (Theorem 2's situation in the
+   k-set construction, §4). *)
+let islands ?(linked = fun _ _ -> true) (sys : System.t) =
   let n = System.n_processes sys in
   if n = 0 then 0
   else begin
@@ -76,7 +77,10 @@ let islands (sys : System.t) =
     Array.iter
       (fun (c : Service.t) ->
         let eps = c.Service.endpoints in
-        Array.iter (fun e -> if e < n && eps.(0) < n then union eps.(0) e) eps)
+        Array.iter
+          (fun i ->
+            Array.iter (fun j -> if i < j && j < n && linked i j then union i j) eps)
+          eps)
       sys.System.services;
     List.init n find |> List.sort_uniq Int.compare |> List.length
   end

@@ -26,8 +26,11 @@ val compose : Model.System.t -> Gvector.t
     the processes and order restricted to spec-carrying services (the ones
     linearizability checks). *)
 
-val islands : Model.System.t -> int
-(** Connected components of the process set under "shares a service". *)
+val islands : ?linked:(int -> int -> bool) -> Model.System.t -> int
+(** Connected components of the process set under "shares a service", where
+    two endpoints of a service count as joined only if [linked] holds of
+    them (default: always; [Chaos.Degrade] passes "no active partition
+    separates them"). *)
 
 type resilience = Crashes of int | Wait_free
 

@@ -39,37 +39,30 @@ let absorb d = function
     { d with active = remove d.active }
   | _ -> d
 
-(* ---- direct builders (workload engine) ----------------------------------- *)
-
-let crash d pid = absorb d (Event.Fail pid)
-let partition d blocks = absorb d (Event.Partition blocks)
-let heal d blocks = absorb d (Event.Heal blocks)
-let mutate d ~service ~endpoint ~kind = absorb d (Event.Net { service; endpoint; kind })
-
-(* Crash-recovery: the inverse of [crash]. No adversary event maps to it —
+(* Crash-recovery: the inverse of a crash. No adversary event maps to it —
    rejoining is a protocol-layer act (the workload engine's catch-up), not a
-   model transition — so it exists only as a builder. *)
+   model transition. *)
 let uncrash d pid = { d with crashed = Spec.Iset.remove pid d.crashed }
 
+(* Oldest-first, so each heal meets the partition it discharges.
+   [List.fold_right] walks [rev_steps] from its tail on the stack instead of
+   reversing it into a fresh list. [of_exec] runs at every serve shot's end
+   and allocates only at adversary events; [fold], for the rarer per-step
+   readers, pays a pair per step. *)
 let of_exec exec =
-  List.fold_left (fun d s -> absorb d s.Exec.event) empty exec.Exec.rev_steps
-(* rev_steps is newest-first, but [absorb] is order-insensitive except for
-   partition/heal matching; heals remove the first equal block list, which is
-   the same multiset operation in either direction. *)
+  List.fold_right (fun s d -> absorb d s.Exec.event) exec.Exec.rev_steps empty
+
+let fold f acc exec =
+  snd
+    (List.fold_right
+       (fun s (d, acc) ->
+         let d = absorb d s.Exec.event in
+         d, f acc d s)
+       exec.Exec.rev_steps (empty, acc))
 
 (* ---- partition geometry -------------------------------------------------- *)
 
-(* Same block semantics as {!Schedule.separated}: a pid in none of the blocks
-   belongs to an implicit residual block shared by every other unlisted pid. *)
-let block_idx blocks i =
-  let rec go idx = function
-    | [] -> None
-    | b :: rest -> if List.mem i b then Some idx else go (idx + 1) rest
-  in
-  go 0 blocks
-
-let separated d i j =
-  i <> j && List.exists (fun blocks -> block_idx blocks i <> block_idx blocks j) d.active
+let separated d i j = List.exists (fun blocks -> Event.separates blocks i j) d.active
 
 let partition_active d = d.active <> []
 
@@ -134,31 +127,6 @@ let service_live_vector d (c : Service.t) =
   in
   v
 
-(* Scope under damage: union-find as in {!Analysis.Guarantee.islands}, but an
-   edge between two endpoints of a service only survives when no active
-   partition separates them. *)
-let live_islands (sys : System.t) d =
-  let n = System.n_processes sys in
-  if n = 0 then 0
-  else begin
-    let parent = Array.init n Fun.id in
-    let rec find i = if parent.(i) = i then i else find parent.(i) in
-    let union i j =
-      let ri = find i and rj = find j in
-      if ri <> rj then parent.(ri) <- rj
-    in
-    Array.iter
-      (fun (c : Service.t) ->
-        Array.iter
-          (fun i ->
-            Array.iter
-              (fun j -> if i < j && i < n && j < n && not (separated d i j) then union i j)
-              c.Service.endpoints)
-          c.Service.endpoints)
-      sys.System.services;
-    List.init n find |> List.sort_uniq Int.compare |> List.length
-  end
-
 let live_vector (sys : System.t) d =
   let v =
     Array.fold_left
@@ -167,7 +135,8 @@ let live_vector (sys : System.t) d =
   in
   {
     v with
-    Gvector.scope = live_islands sys d;
+    Gvector.scope =
+      Analysis.Guarantee.islands ~linked:(fun i j -> not (separated d i j)) sys;
     order = (Analysis.Guarantee.compose sys).Gvector.order;
   }
 
@@ -180,17 +149,15 @@ let describe sys exec = Gvector.to_string (live_vector sys (of_exec exec))
    step indices are 1-based positions in the execution. *)
 let trajectory (sys : System.t) exec =
   let baseline = Analysis.Guarantee.compose sys in
-  let _, _, _, out =
-    List.fold_left
-      (fun (i, d, prev, out) s ->
+  let _, _, out =
+    fold
+      (fun (i, prev, out) d s ->
         match s.Exec.event with
         | Event.Fail _ | Event.Net _ | Event.Partition _ | Event.Heal _ ->
-          let d = absorb d s.Exec.event in
           let v = live_vector sys d in
-          if Gvector.equal v prev then i + 1, d, prev, out
-          else i + 1, d, v, (i, s.Exec.event, v) :: out
-        | _ -> i + 1, d, prev, out)
-      (1, empty, baseline, [])
-      (Exec.steps exec)
+          if Gvector.equal v prev then i + 1, prev, out
+          else i + 1, v, (i, s.Exec.event, v) :: out
+        | _ -> i + 1, prev, out)
+      (1, baseline, []) exec
   in
   baseline, List.rev out

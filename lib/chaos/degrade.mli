@@ -20,26 +20,28 @@ type t = {
 
 val empty : t
 val absorb : t -> Model.Event.t -> t
+(** One event's damage; events other than crashes, buffer mutations,
+    partitions and heals leave it unchanged. The workload engine, which
+    keeps damage across consensus shots without one backing execution,
+    feeds it the events of its fault timeline directly. *)
+
 val of_exec : Model.Exec.t -> t
+(** The damage standing at the end of the execution, folded oldest-first:
+    a partition healed inside the run is no longer active. *)
 
-(** {2 Direct builders}
+val fold : ('a -> t -> Model.Exec.step -> 'a) -> 'a -> Model.Exec.t -> 'a
+(** Oldest-first over the execution's steps, each seen with the damage
+    standing after it. *)
 
-    The workload engine maintains a damage summary across consensus shots
-    without a single backing execution; these build it event by event.
-    [uncrash] is the one with no adversary-event counterpart: crash-recovery
-    (a crashed replica catching up and rejoining) is a protocol-layer act,
-    and restores the live vector the crash had knocked down. *)
-
-val crash : t -> int -> t
 val uncrash : t -> int -> t
-val partition : t -> int list list -> t
-val heal : t -> int list list -> t
-val mutate : t -> service:string -> endpoint:int -> kind:Model.Event.net_kind -> t
+(** Crash-recovery, the one update no adversary event maps to: a crashed
+    replica caught up and rejoined (a protocol-layer act of the workload
+    engine), restoring what its crash had knocked down. *)
 
 val separated : t -> int -> int -> bool
 (** Whether an active (unhealed) partition puts the two pids in different
-    blocks — same residual-block semantics as the schedule compiler: pids in
-    no listed block share an implicit residual block. *)
+    blocks ({!Model.Event.separates}, the rule the schedule compiler uses
+    too). *)
 
 val partition_active : t -> bool
 val drop_victims : t -> Spec.Iset.t

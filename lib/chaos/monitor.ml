@@ -16,43 +16,6 @@ type t = {
 
 let on_decide = function Model.Event.Decide _ -> true | _ -> false
 
-(* Recovery-aware waiving: the liveness monitors refuse to turn a network
-   fault into a spurious verdict. All three predicates are false on
-   crash-only executions, so the crash-only verdicts — and with them the
-   pinned differential — are untouched. *)
-
-let has_drop exec =
-  List.exists
-    (function
-      | { Model.Exec.event = Model.Event.Net { kind = Model.Event.Drop; _ }; _ } -> true
-      | _ -> false)
-    exec.Model.Exec.rev_steps
-
-let has_net_fault exec =
-  List.exists
-    (function { Model.Exec.event = Model.Event.Net _; _ } -> true | _ -> false)
-    exec.Model.Exec.rev_steps
-
-(* Newest-first scan: a heal seen before (i.e. after, in execution order)
-   its partition discharges it; a partition with no matching heal is still
-   in force when the run ends. *)
-let unhealed_partition exec =
-  let rec scan healed = function
-    | [] -> false
-    | { Model.Exec.event = Model.Event.Heal blocks; _ } :: rest ->
-      scan (blocks :: healed) rest
-    | { Model.Exec.event = Model.Event.Partition blocks; _ } :: rest ->
-      let rec remove = function
-        | [] -> None
-        | b :: bs -> if b = blocks then Some bs else Option.map (List.cons b) (remove bs)
-      in
-      (match remove healed with
-      | Some healed -> scan healed rest
-      | None -> true)
-    | _ :: rest -> scan healed rest
-  in
-  scan [] exec.Model.Exec.rev_steps
-
 let pp_values ppf vs =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") Ioa.Value.pp)
@@ -66,14 +29,13 @@ let pp_values ppf vs =
    class must stay within k values. With no partition ever active there is
    one class and the check coincides with plain agreement. *)
 let degraded_agreement_check k exec =
-  let ds, _ =
-    List.fold_left
-      (fun (acc, d) (st : Model.Exec.step) ->
-        let d = Degrade.absorb d st.Model.Exec.event in
+  let ds =
+    Degrade.fold
+      (fun acc d (st : Model.Exec.step) ->
         match st.Model.Exec.event with
-        | Model.Event.Decide (pid, v) -> (pid, v, d) :: acc, d
-        | _ -> acc, d)
-      ([], Degrade.empty) (Model.Exec.steps exec)
+        | Model.Event.Decide (pid, v) -> (pid, v, d) :: acc
+        | _ -> acc)
+      [] exec
   in
   let ds = Array.of_list (List.rev ds) in
   let m = Array.length ds in
@@ -155,45 +117,7 @@ let per_process_agreement =
         else Fail "some process emitted two different decide events");
   }
 
-let f_termination =
-  {
-    name = "f-termination";
-    phase = End;
-    relevant = (fun _ -> true);
-    check =
-      (fun _sys exec ->
-        let s = Model.Exec.last_state exec in
-        if Model.Properties.termination s then Pass
-        else if has_drop exec then
-          (* An omitted message may be the decision's only carrier; failing
-             here would charge the protocol for the adversary's theft.
-             Duplications, delays and healed partitions give no such excuse —
-             degradation must be graceful once the network recovers. *)
-          Truncated (Adversary, "termination waived: message-drop fault(s) in this run")
-        else if unhealed_partition exec then
-          Truncated (Adversary, "termination waived: partition still unhealed at end of run")
-        else
-          let undecided =
-            List.filteri
-              (fun i input ->
-                input <> None
-                && (not (Spec.Iset.mem i s.Model.State.failed))
-                && s.Model.State.decisions.(i) = None)
-              (Array.to_list s.Model.State.inputs)
-            |> List.length
-          in
-          Fail
-            (Printf.sprintf "%d nonfaulty initialized process(es) never decide" undecided));
-  }
-
-(* The degrade-aware variant: instead of waiving liveness wholesale under a
-   stolen response or an unhealed partition, demand termination of every
-   process the live vector still covers — drop victims lose their guarantee
-   (their response is gone for good), a partition waives processes whose
-   packet flow is cut (any separation, where a network service carries the
-   protocol) or that are fully isolated, and a heal restores the full
-   demand. Crash-only verdicts coincide with {!f_termination}. *)
-let f_termination_degraded =
+let f_termination ?(degrade = false) () =
   {
     name = "f-termination";
     phase = End;
@@ -204,17 +128,7 @@ let f_termination_degraded =
         if Model.Properties.termination s then Pass
         else
           let d = Degrade.of_exec exec in
-          let n = Array.length s.Model.State.procs in
-          let pids = List.init n Fun.id in
-          let victims = Degrade.drop_victims d in
-          let waived i =
-            Spec.Iset.mem i victims
-            || (Degrade.partition_active d
-                && ((n > 1 && List.for_all (fun j -> j = i || Degrade.separated d i j) pids)
-                   || (Degrade.has_network_service sys i
-                      && List.exists (fun j -> j <> i && Degrade.separated d i j) pids)))
-          in
-          let undecided =
+          let undecided waived =
             List.filteri
               (fun i input ->
                 input <> None
@@ -224,19 +138,47 @@ let f_termination_degraded =
               (Array.to_list s.Model.State.inputs)
             |> List.length
           in
-          if undecided = 0 then Pass
-          else if d.Degrade.dropped = [] && d.Degrade.mutated = [] && not d.Degrade.was_partitioned
-          then
-            (* No network damage: word-identical to {!f_termination}, so the
-               crash-only differential stays pinned. *)
-            Fail
-              (Printf.sprintf "%d nonfaulty initialized process(es) never decide" undecided)
+          let never_decide k =
+            Fail (Printf.sprintf "%d nonfaulty initialized process(es) never decide" k)
+          in
+          if not degrade then
+            if d.Degrade.dropped <> [] then
+              (* An omitted message may be the decision's only carrier;
+                 failing here would charge the protocol for the adversary's
+                 theft. Duplications, delays and healed partitions give no
+                 such excuse — degradation must be graceful once the network
+                 recovers. *)
+              Truncated (Adversary, "termination waived: message-drop fault(s) in this run")
+            else if Degrade.partition_active d then
+              Truncated
+                (Adversary, "termination waived: partition still unhealed at end of run")
+            else never_decide (undecided (fun _ -> false))
           else
-            Fail
-              (Printf.sprintf
-                 "%d process(es) inside the degraded guarantee never decide (live vector %s)"
-                 undecided
-                 (Analysis.Gvector.to_string (Degrade.live_vector sys d))));
+            let n = Array.length s.Model.State.procs in
+            let pids = List.init n Fun.id in
+            let victims = Degrade.drop_victims d in
+            let waived i =
+              Spec.Iset.mem i victims
+              || (Degrade.partition_active d
+                  && ((n > 1
+                      && List.for_all (fun j -> j = i || Degrade.separated d i j) pids)
+                     || (Degrade.has_network_service sys i
+                        && List.exists (fun j -> j <> i && Degrade.separated d i j) pids)))
+            in
+            let k = undecided waived in
+            if k = 0 then Pass
+            else if
+              d.Degrade.dropped = [] && d.Degrade.mutated = [] && not d.Degrade.was_partitioned
+            then
+              (* No network damage: word-identical to the plain check, so the
+                 crash-only differential stays pinned. *)
+              never_decide k
+            else
+              Fail
+                (Printf.sprintf
+                   "%d process(es) inside the degraded guarantee never decide (live vector %s)"
+                   k
+                   (Analysis.Gvector.to_string (Degrade.live_vector sys d))));
   }
 
 let linearizability ?(max_history = 240) ?(degrade = false) () =
@@ -246,7 +188,8 @@ let linearizability ?(max_history = 240) ?(degrade = false) () =
     relevant = (fun _ -> true);
     check =
       (fun sys exec ->
-        if (not degrade) && has_net_fault exec then
+        let d = Degrade.of_exec exec in
+        if (not degrade) && d.Degrade.mutated <> [] then
           (* Buffer mutations detach responses from the operations that
              earned them (a dropped response orphans its invocation, a
              duplicate answers one invocation twice), so the reconstructed
@@ -257,7 +200,6 @@ let linearizability ?(max_history = 240) ?(degrade = false) () =
         (* With [degrade], only the services whose buffers were actually
            mutated lose the check; mutations do not corrupt another
            service's reconstructed history. *)
-        let d = if degrade then Degrade.of_exec exec else Degrade.empty in
         let bad = ref None and trunc = ref [] and skipped = ref [] in
         Array.iter
           (fun (c : Model.Service.t) ->
@@ -265,7 +207,7 @@ let linearizability ?(max_history = 240) ?(degrade = false) () =
             | None -> ()
             | Some seq ->
               if !bad = None then begin
-                if degrade && Degrade.mutated d ~service:c.Model.Service.id then
+                if Degrade.mutated d ~service:c.Model.Service.id then
                   skipped :=
                     Printf.sprintf "service %s: buffers mutated by the adversary, history skipped"
                       c.Model.Service.id
@@ -308,7 +250,7 @@ let fd_completeness ~output () =
     relevant = (fun _ -> true);
     check =
       (fun _sys exec ->
-        if unhealed_partition exec then
+        if Degrade.partition_active (Degrade.of_exec exec) then
           Truncated (Adversary, "completeness waived: partition still unhealed at end of run")
         else
           let s = Model.Exec.last_state exec in
@@ -337,7 +279,7 @@ let fd_accuracy ~output () =
     relevant = (fun _ -> true);
     check =
       (fun _sys exec ->
-        if unhealed_partition exec then
+        if Degrade.partition_active (Degrade.of_exec exec) then
           (* ◇P tolerates finitely many false suspicions while a partition
              is in force; only a healed network must converge to accuracy. *)
           Truncated (Adversary, "accuracy waived: partition still unhealed at end of run")
@@ -367,7 +309,7 @@ let safety ?k ?(degrade = false) () = [ agreement ?k ~degrade (); validity; per_
 let defaults ?k ?(degrade = false) () =
   safety ?k ~degrade ()
   @ [
-      (if degrade then f_termination_degraded else f_termination);
+      f_termination ~degrade ();
       linearizability ~degrade ();
     ]
 

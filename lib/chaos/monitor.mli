@@ -51,24 +51,23 @@ val validity : t
 val per_process_agreement : t
 (** No process decides two different values, checked per step. *)
 
-val f_termination : t
+val f_termination : ?degrade:bool -> unit -> t
 (** Modified termination (§2.2.4): at the end of the run, every nonfaulty
-    process that received an input has decided. Recovery-aware: a run with
-    message-drop faults or an unhealed partition yields {!Truncated} rather
-    than charging the protocol for the adversary's theft — duplications,
-    delays and healed partitions still enforce termination (degradation must
-    be graceful once the network recovers). Crash-only verdicts are
-    unchanged. *)
+    process that received an input has decided. Both variants read the
+    damage standing at the end of the run from {!Degrade.of_exec}, so a
+    partition healed inside the run excuses nothing.
 
-val f_termination_degraded : t
-(** The degrade-aware variant (same monitor name): consults {!Degrade}
-    instead of waiving liveness wholesale. Drop victims lose their
-    termination guarantee; an unhealed partition waives fully isolated
-    processes and, where a network service carries the protocol, any
-    separated process; a heal restores the full demand. Everyone still
-    covered by the live vector must decide — a stall there is a [Fail]
-    carrying the degraded vector, not a truncation. Crash-only verdicts
-    coincide with {!f_termination}. *)
+    Without [degrade], a run with message-drop faults or an unhealed
+    partition yields {!Truncated} rather than charging the protocol for the
+    adversary's theft; duplications, delays and healed partitions still
+    enforce termination (degradation must be graceful once the network
+    recovers).
+
+    With [degrade], drop victims lose their termination guarantee; an
+    unhealed partition waives fully isolated processes and, where a network
+    service carries the protocol, any separated process. Everyone else must
+    decide: a stall there is a [Fail] carrying the degraded vector, not a
+    truncation. Crash-only verdicts are the same either way. *)
 
 val linearizability : ?max_history:int -> ?degrade:bool -> unit -> t
 (** Every service retaining a sequential spec ({!Model.Service.t}[.seq])
@@ -95,9 +94,6 @@ val fd_accuracy : output:(Model.State.t -> pid:int -> Spec.Iset.t) -> unit -> t
     by an alive process. Unhealed partitions waive the verdict ({!Truncated})
     — ◇P tolerates finitely many false suspicions until the network heals.
     Opt-in, like {!fd_completeness}. *)
-
-val unhealed_partition : Model.Exec.t -> bool
-(** Whether some partition is still in force when the execution ends. *)
 
 val defaults : ?k:int -> ?degrade:bool -> unit -> t list
 (** All of the above; with [degrade], the degrade-aware variants of

@@ -80,6 +80,17 @@ let step = function
   | Delay { step; _ }
   | Partition { step; _ } -> step
 
+let event = function
+  | Crash { pid; _ } -> Some (Model.Event.Fail pid)
+  | Silence _ -> None
+  | Drop { service; endpoint; _ } ->
+    Some (Model.Event.Net { service; endpoint; kind = Model.Event.Drop })
+  | Duplicate { service; endpoint; _ } ->
+    Some (Model.Event.Net { service; endpoint; kind = Model.Event.Duplicate })
+  | Delay { service; endpoint; lag; _ } ->
+    Some (Model.Event.Net { service; endpoint; kind = Model.Event.Delay lag })
+  | Partition { blocks; _ } -> Some (Model.Event.Partition blocks)
+
 let make ?(default_pref = Model.System.Prefer_dummy) ?(overrides = []) faults =
   let faults = List.stable_sort (fun a b -> Int.compare (step a) (step b)) faults in
   { faults; default_pref; overrides }
@@ -458,23 +469,11 @@ let undelivered_net c =
 
 let fully_active c ~step = exhausted c && step >= c.latest_silence
 
-(* Which block of an active partition holds pid [i]; [None] means the
-   implicit residual block of processes not listed. *)
-let block_idx blocks i =
-  let rec go idx = function
-    | [] -> None
-    | b :: rest -> if List.mem i b then Some idx else go (idx + 1) rest
-  in
-  go 0 blocks
-
 let separated c i j =
-  i <> j
-  && List.exists
-       (fun (from, heal_at, blocks) ->
-         from <= !(c.now)
-         && !(c.now) < heal_at
-         && block_idx blocks i <> block_idx blocks j)
-       c.partitions
+  List.exists
+    (fun (from, heal_at, blocks) ->
+      from <= !(c.now) && !(c.now) < heal_at && Model.Event.separates blocks i j)
+    c.partitions
 
 (* A service-output turn is held back by an active partition when the
    response waiting at the head of the endpoint's buffer crossed a block

@@ -71,6 +71,11 @@ val partition : step:int -> blocks:int list list -> heal_at:int -> fault
 val step : fault -> int
 (** The nominal step a fault is scheduled at (a partition's begin). *)
 
+val event : fault -> Model.Event.t option
+(** The adversary event the fault delivers at its step (for a partition,
+    its onset; the heal follows at [heal_at]). [None] for a silence, which
+    changes the policy rather than delivering an event. *)
+
 val make :
   ?default_pref:Model.System.pref ->
   ?overrides:(Model.Task.t * Model.System.pref) list ->

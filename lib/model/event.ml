@@ -32,6 +32,13 @@ let pp_blocks ppf blocks =
         Format.pp_print_int ppf block)
     ppf blocks
 
+let separates blocks i j =
+  let rec block k idx = function
+    | [] -> -1
+    | b :: rest -> if List.mem k b then idx else block k (idx + 1) rest
+  in
+  i <> j && block i 0 blocks <> block j 0 blocks
+
 let pp ppf = function
   | Init (i, v) -> Format.fprintf ppf "init(%a)_%d" Value.pp v i
   | Fail i -> Format.fprintf ppf "fail_%d" i

@@ -33,6 +33,11 @@ type t =
 
 val equal : t -> t -> bool
 val pp_blocks : Format.formatter -> int list list -> unit
+
+val separates : int list list -> int -> int -> bool
+(** Whether a partition into these blocks puts the two pids in different
+    blocks; pids in no listed block share one implicit residual block. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

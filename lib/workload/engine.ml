@@ -158,12 +158,16 @@ let deliver_faults st ~tick =
   List.iter
     (fun fault ->
       st.any_damage <- true;
+      (* A crash of a replica already down is ignored below, and absorbing
+         it changes nothing: its pid is still in the damage's crash set. *)
+      Option.iter
+        (fun e -> st.damage <- Chaos.Degrade.absorb st.damage e)
+        (Chaos.Schedule.event fault);
       match fault with
       | Chaos.Schedule.Crash { pid; _ } ->
         let r = st.replicas.(pid) in
         if Replica.is_up r || r.Replica.status = Replica.Recovering then begin
           Replica.crash r ~tick ~rejoin_at:(tick + st.cfg.rejoin_after);
-          st.damage <- Chaos.Degrade.crash st.damage pid;
           st.report.Report.crash_faults <- st.report.Report.crash_faults + 1;
           (* The replica's queued-but-uncommitted commands die with it. *)
           let kept, lost = List.partition (fun (_, via) -> via <> pid) st.pending in
@@ -176,20 +180,8 @@ let deliver_faults st ~tick =
         end
       | Chaos.Schedule.Partition { blocks; heal_at; _ } ->
         st.active_partitions <- st.active_partitions @ [ blocks, heal_at ];
-        st.damage <- Chaos.Degrade.partition st.damage blocks;
         st.report.Report.partitions <- st.report.Report.partitions + 1
-      | Chaos.Schedule.Drop { service; endpoint; _ } ->
-        st.damage <- Chaos.Degrade.mutate st.damage ~service ~endpoint ~kind:Model.Event.Drop;
-        st.report.Report.net_faults <- st.report.Report.net_faults + 1;
-        st.stash <- st.stash @ [ fault ]
-      | Chaos.Schedule.Duplicate { service; endpoint; _ } ->
-        st.damage <-
-          Chaos.Degrade.mutate st.damage ~service ~endpoint ~kind:Model.Event.Duplicate;
-        st.report.Report.net_faults <- st.report.Report.net_faults + 1;
-        st.stash <- st.stash @ [ fault ]
-      | Chaos.Schedule.Delay { service; endpoint; lag; _ } ->
-        st.damage <-
-          Chaos.Degrade.mutate st.damage ~service ~endpoint ~kind:(Model.Event.Delay lag);
+      | Chaos.Schedule.(Drop _ | Duplicate _ | Delay _) ->
         st.report.Report.net_faults <- st.report.Report.net_faults + 1;
         st.stash <- st.stash @ [ fault ]
       | Chaos.Schedule.Silence _ -> st.stash <- st.stash @ [ fault ])
@@ -199,7 +191,7 @@ let deliver_faults st ~tick =
   st.active_partitions <- still;
   List.iter
     (fun (blocks, _) ->
-      st.damage <- Chaos.Degrade.heal st.damage blocks;
+      st.damage <- Chaos.Degrade.absorb st.damage (Model.Event.Heal blocks);
       st.report.Report.heals <- st.report.Report.heals + 1;
       st.consecutive_stalls <- 0;
       st.backoff_until <- 0)

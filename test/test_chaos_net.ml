@@ -264,7 +264,7 @@ let test_resilient_survive_mixed () =
 let test_termination_waived_under_drops () =
   let sys = direct_f1 () in
   let cfg = config sys ~kinds:[ Chaos.Schedule.Drop_k ] ~max_faults:1 in
-  let r = Chaos.Explore.run ~monitors:[ Chaos.Monitor.f_termination ] ~config:cfg sys in
+  let r = Chaos.Explore.run ~monitors:[ Chaos.Monitor.f_termination () ] ~config:cfg sys in
   Alcotest.(check bool) "no violation" true (r.Chaos.Explore.violation = None);
   Alcotest.(check bool) "some termination checks waived" true
     (r.Chaos.Explore.monitor_truncations > 0)
@@ -273,7 +273,7 @@ let test_termination_partition_recovery () =
   let sys = direct_f1 () in
   let run heal_at =
     Chaos.Runner.run
-      ~monitors:[ Chaos.Monitor.f_termination ]
+      ~monitors:[ Chaos.Monitor.f_termination () ]
       ~max_steps:300
       ~schedule:
         (Chaos.Schedule.make
@@ -356,7 +356,8 @@ let test_shrink_clamps_to_executed_range () =
         relevant = (fun _ -> true);
         check =
           (fun _sys exec ->
-            if Chaos.Monitor.unhealed_partition exec then Fail "partition never healed"
+            if Chaos.Degrade.(partition_active (of_exec exec)) then
+              Fail "partition never healed"
             else Pass);
       }
   in

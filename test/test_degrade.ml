@@ -101,7 +101,7 @@ let test_heal_matrix () =
   let sys = direct_f1 () in
   let run ~degrade ~heal_at ~max_steps =
     Chaos.Runner.run
-      ~monitors:(if degrade then [ Chaos.Monitor.f_termination_degraded ] else [ Chaos.Monitor.f_termination ])
+      ~monitors:[ Chaos.Monitor.f_termination ~degrade () ]
       ~max_steps
       ~schedule:
         (Chaos.Schedule.make
@@ -148,7 +148,61 @@ let test_heal_matrix () =
         Alcotest.(check bool) "unhealed: trajectory ends degraded" false
           (G.equal last (Analysis.Guarantee.compose sys))
       | [] -> Alcotest.fail "unhealed: expected a trajectory change")
-    [ 500; 9_999 ]
+    [ 500; 9_999 ];
+  (* A partition healed inside the run excuses nothing: with P0 crashed
+     before anyone decides, P1 and P2 stall, and the degrade-aware monitor
+     must say so just as the plain one does. *)
+  let sys = Protocols.Direct.system ~n:3 ~f:0 in
+  let schedule =
+    Chaos.Schedule.make
+      [
+        Chaos.Schedule.crash ~step:0 ~pid:0;
+        Chaos.Schedule.partition ~step:1 ~blocks:[ [ 1 ]; [ 2 ] ] ~heal_at:5;
+      ]
+  in
+  List.iter
+    (fun degrade ->
+      let r =
+        Chaos.Runner.run
+          ~monitors:[ Chaos.Monitor.f_termination ~degrade () ]
+          ~max_steps:500 ~schedule sys
+      in
+      match r.Chaos.Runner.stop with
+      | Chaos.Runner.Violation { monitor = "f-termination"; _ } -> ()
+      | s ->
+        Alcotest.failf
+          "healed partition, degrade=%b: expected an f-termination violation, got %a" degrade
+          Chaos.Runner.pp_stop s)
+    [ false; true ]
+
+(* The end-of-run vector and the trajectory are one fold: [describe] is the
+   trajectory's last vector (the baseline when nothing changed it), on
+   seeded mixed-fault runs where partitions heal before, at or after the
+   end. *)
+let test_describe_is_trajectory_end () =
+  let kinds =
+    Chaos.Schedule.[ Crash_k; Partition_k; Drop_k; Dup_k; Delay_k ]
+  in
+  let healed = ref 0 in
+  List.iter
+    (fun (name, sys) ->
+      for seed = 0 to 39 do
+        let r, schedule = Chaos.Rand.run ~seed ~max_faults:3 ~kinds ~max_steps:2_000 sys in
+        let exec = r.Chaos.Runner.exec in
+        let baseline, changes = Chaos.Degrade.trajectory sys exec in
+        let last = match List.rev changes with (_, _, v) :: _ -> v | [] -> baseline in
+        if List.exists (function _, Model.Event.Heal _, _ -> true | _ -> false) changes then
+          incr healed;
+        Alcotest.(check string)
+          (Printf.sprintf "%s seed %d (%s)" name seed (Chaos.Schedule.to_string schedule))
+          (G.to_string last) (Chaos.Degrade.describe sys exec)
+      done)
+    [
+      "direct", Protocols.Direct.system ~n:3 ~f:1;
+      "tob", tob ~f:1 ();
+      "mp-quorum", Protocols.Mp_consensus.quorum_system ~n:3;
+    ];
+  Alcotest.(check bool) "some run heals a partition" true (!healed > 0)
 
 (* The tob boost under a stolen response: with degrade-aware monitors the
    old wholesale waiver becomes an explicit verdict carrying the live
@@ -180,8 +234,8 @@ let test_crash_only_identity () =
     (fun (sys, step, pid) ->
       let schedule = Chaos.Schedule.make [ Chaos.Schedule.crash ~step ~pid ] in
       let run monitors = Chaos.Runner.run ~monitors ~max_steps:2_000 ~schedule sys in
-      let old_r = run [ Chaos.Monitor.f_termination ] in
-      let new_r = run [ Chaos.Monitor.f_termination_degraded ] in
+      let old_r = run [ Chaos.Monitor.f_termination () ] in
+      let new_r = run [ Chaos.Monitor.f_termination ~degrade:true () ] in
       Alcotest.(check bool) "crash-only stop identical" true
         (old_r.Chaos.Runner.stop = new_r.Chaos.Runner.stop);
       Alcotest.(check bool) "crash-only truncations identical" true
@@ -316,6 +370,8 @@ let suite =
         test_static_gaps;
       Alcotest.test_case "absorb matrix: damage x heal" `Quick test_absorb_matrix;
       Alcotest.test_case "heal/re-engage matrix on real runs" `Quick test_heal_matrix;
+      Alcotest.test_case "describe is the trajectory's last vector" `Quick
+        test_describe_is_trajectory_end;
       Alcotest.test_case "tob drop: waiver becomes degraded verdict" `Quick
         test_tob_drop_degrades;
       Alcotest.test_case "crash-only verdicts identical" `Quick test_crash_only_identity;
