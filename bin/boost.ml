@@ -294,7 +294,11 @@ let fd_network =
     claims = (fun _ -> Analysis.Guarantee.no_claim);
   }
 
-let chaos_monitors protocol ~degrade =
+(* Agreement and validity are held to what the protocol claims: k-agreement
+   plus validity for a claimed k, neither for a protocol that decides
+   something other than one of the proposed inputs (universal decides
+   counter responses, split's per-process services agree on nothing). *)
+let chaos_monitors protocol params ~degrade =
   if protocol == fd_network then
     let output = Protocols.Fd_network.output_of in
     Chaos.Monitor.safety ~degrade ()
@@ -303,7 +307,12 @@ let chaos_monitors protocol ~degrade =
         Chaos.Monitor.fd_accuracy ~output ();
         Chaos.Monitor.linearizability ~degrade ();
       ]
-  else Chaos.Monitor.defaults ~degrade ()
+  else
+    match (protocol.Registry.claims params).Analysis.Guarantee.agreement with
+    | Some k -> Chaos.Monitor.defaults ~k ~degrade ()
+    | None ->
+      Chaos.Monitor.
+        [ per_process_agreement; f_termination ~degrade (); linearizability ~degrade () ]
 
 let chaos_cmd =
   let protocol_arg =
@@ -474,7 +483,7 @@ let chaos_cmd =
   let run (protocol, params) faults max_faults seed runs max_steps horizon budget stride jobs
       dedup shrink prune_stats_out schedule timeout witness_out degrade =
     let sys = protocol.Registry.build params in
-    let monitors = chaos_monitors protocol ~degrade in
+    let monitors = chaos_monitors protocol params ~degrade in
     let horizon =
       if horizon > 0 then horizon else 2 * Array.length sys.Model.System.tasks
     in
@@ -508,13 +517,11 @@ let chaos_cmd =
               r.Chaos.Runner.vacuous_net_faults;
           Format.printf "%d steps: %a@." r.Chaos.Runner.steps Chaos.Runner.pp_stop
             r.Chaos.Runner.stop;
-          match r.Chaos.Runner.stop with
-          | Chaos.Runner.Violation _ ->
-            if degrade then
-              Format.printf "degraded to %s@."
-                (Chaos.Degrade.describe sys r.Chaos.Runner.exec);
+          match Chaos.Explore.violation_of ~degrade sys schedule r with
+          | Some v ->
+            Option.iter (Format.printf "degraded to %s@.") v.Chaos.Explore.degraded_to;
             1
-          | Chaos.Runner.Lasso _ | Chaos.Runner.Budget | Chaos.Runner.Pruned -> 0)))
+          | None -> 0)))
     | None ->
       let max_faults, kinds =
         match faults with
@@ -625,7 +632,8 @@ let chaos_cmd =
          "Systematic fault-schedule injection with property monitors and shrinking: \
           enumerate (or randomly sample, with --seed and exact replay) crash placements, \
           service silencings and network faults (drop/dup/delay/partition, with --faults \
-          KINDS), check agreement/validity/f-termination/linearizability — or, for \
+          KINDS), check the agreement and validity the protocol claims, \
+          f-termination and linearizability — or, for \
           fd-network, the \xe2\x97\x87P completeness/accuracy monitors — during each run, \
           and delta-debug any violation to a minimal schedule. With --degrade, network \
           damage degrades the checked guarantee instead of waiving it. Exits 1 with the \

@@ -57,20 +57,25 @@ let violated ~monitors ?max_steps ?interleave ~shrink sys original =
       Some m, Some st
     else None, None
   in
-  let minimized =
-    (* The shrinker carries the original's damage annotation through [with];
-       recompute it on the minimized prefix, whose damage may be smaller. *)
-    match original.Explore.degraded_to with
-    | None -> minimized
-    | Some _ ->
-      Option.map
-        (fun (m : Explore.violation) ->
-          { m with Explore.degraded_to = Some (Degrade.describe sys m.Explore.exec) })
-        minimized
-  in
   let final = Option.value minimized ~default:original in
   Violated
     { original; minimized; shrink_stats; witness = witness_of_violation final; replayed = None }
+
+let report_of mode (r : Explore.report) outcome =
+  {
+    mode;
+    examined = r.Explore.examined;
+    space = r.Explore.space;
+    truncated = r.Explore.truncated;
+    wall_truncated = r.Explore.wall_truncated;
+    step_budget_hits = r.Explore.step_budget_hits;
+    monitor_truncations = r.Explore.monitor_truncations;
+    undelivered_crashes = r.Explore.undelivered_crashes;
+    undelivered_net = r.Explore.undelivered_net;
+    vacuous_net_faults = r.Explore.vacuous_net_faults;
+    dedup_hits = r.Explore.dedup_hits;
+    outcome;
+  }
 
 let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(stop = fun () -> false)
     mode sys =
@@ -88,94 +93,37 @@ let run ?monitors ?(shrink = true) ?(domains = 1) ?(dedup = true) ?(stop = fun (
   match mode with
   | Systematic config ->
     let r = Explore.run_par ~monitors ~config ~domains ~dedup ~stop sys in
-    let outcome =
-      match r.Explore.violation with
+    report_of mode r
+      (match r.Explore.violation with
       | None -> Passed
-      | Some v -> violated ~monitors ~max_steps:config.Explore.max_steps ~shrink sys v
-    in
-    {
-      mode;
-      examined = r.Explore.examined;
-      space = r.Explore.space;
-      truncated = r.Explore.truncated;
-      wall_truncated = r.Explore.wall_truncated;
-      step_budget_hits = r.Explore.step_budget_hits;
-      monitor_truncations = r.Explore.monitor_truncations;
-      undelivered_crashes = r.Explore.undelivered_crashes;
-      undelivered_net = r.Explore.undelivered_net;
-      vacuous_net_faults = r.Explore.vacuous_net_faults;
-      dedup_hits = r.Explore.dedup_hits;
-      outcome;
-    }
+      | Some v -> violated ~monitors ~max_steps:config.Explore.max_steps ~shrink sys v)
   | Seeded { seed; runs; max_faults; horizon; max_steps; kinds; degrade } ->
-    let step_budget_hits = ref 0 and monitor_truncations = ref 0 in
-    let undelivered = ref 0 and undelivered_n = ref 0 and vacuous = ref 0 in
-    let wall = ref false in
-    let rec go i =
-      if i >= runs then None, runs
-      else if stop () then begin
-        wall := true;
-        None, i
-      end
-      else begin
-        let seed_i = seed + i in
-        let r, schedule =
-          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ~monitors ~max_steps sys
-        in
-        monitor_truncations := !monitor_truncations + List.length r.Runner.monitor_truncations;
-        undelivered := !undelivered + r.Runner.undelivered_crashes;
-        undelivered_n := !undelivered_n + r.Runner.undelivered_net;
-        vacuous := !vacuous + r.Runner.vacuous_net_faults;
-        match r.Runner.stop with
-        | Runner.Violation { monitor; reason; proven } ->
-          ( Some
-              (seed_i,
-               Explore.
-                 { schedule; monitor; reason; proven; exec = r.Runner.exec;
-                   steps = r.Runner.steps;
-                   degraded_to =
-                     (if degrade then Some (Degrade.describe sys r.Runner.exec)
-                      else None) }),
-            i + 1 )
-        | Runner.Lasso _ | Runner.Pruned -> go (i + 1)
-        | Runner.Budget ->
-          incr step_budget_hits;
-          go (i + 1)
-      end
+    let rand_run seed = Rand.run ~seed ~max_faults ~horizon ~kinds ~monitors ~max_steps sys in
+    let rec go i acc =
+      if i >= runs || Option.is_some acc.Explore.violation then acc
+      else if stop () then { acc with Explore.wall_truncated = true }
+      else
+        let r, schedule = rand_run (seed + i) in
+        go (i + 1) (Explore.add acc (Explore.of_run ~degrade sys schedule r))
     in
-    let found, examined = go 0 in
-    let outcome =
-      match found with
+    let r = go 0 (Explore.empty_report ~space:runs) in
+    report_of mode r
+      (match r.Explore.violation with
       | None -> Passed
-      | Some (seed_i, v) ->
+      | Some v -> (
+        (* The violating run is the last one examined. *)
+        let seed_i = seed + r.Explore.examined - 1 in
         let interleave = Rand.interleave ~seed:seed_i in
         (* Exact replay: the same seed must reproduce the identical trace. *)
-        let replay, _ =
-          Rand.run ~seed:seed_i ~max_faults ~horizon ~kinds ~monitors ~max_steps sys
-        in
+        let replay, _ = rand_run seed_i in
         let replayed =
           List.equal Model.Event.equal
             (Model.Exec.events v.Explore.exec)
             (Model.Exec.events replay.Runner.exec)
         in
-        (match violated ~monitors ~max_steps ~interleave ~shrink sys v with
+        match violated ~monitors ~max_steps ~interleave ~shrink sys v with
         | Violated x -> Violated { x with replayed = Some replayed }
-        | o -> o)
-    in
-    {
-      mode;
-      examined;
-      space = runs;
-      truncated = false;
-      wall_truncated = !wall;
-      step_budget_hits = !step_budget_hits;
-      monitor_truncations = !monitor_truncations;
-      undelivered_crashes = !undelivered;
-      undelivered_net = !undelivered_n;
-      vacuous_net_faults = !vacuous;
-      dedup_hits = 0;
-      outcome;
-    }
+        | o -> o))
 
 let pp_mode ppf = function
   | Systematic c ->

@@ -29,8 +29,20 @@ type violation = {
   degraded_to : string option;
 }
 
-let degraded_to_of cfg sys exec =
-  if cfg.degrade then Some (Degrade.describe sys exec) else None
+let violation_of ~degrade sys schedule (r : Runner.result) =
+  match r.Runner.stop with
+  | Runner.Violation { monitor; reason; proven } ->
+    Some
+      {
+        schedule;
+        monitor;
+        reason;
+        proven;
+        exec = r.Runner.exec;
+        steps = r.Runner.steps;
+        degraded_to = (if degrade then Some (Degrade.describe sys r.Runner.exec) else None);
+      }
+  | Runner.Lasso _ | Runner.Budget | Runner.Pruned -> None
 
 let pp_violation ppf v =
   Format.fprintf ppf "@[<v 2>%s violated (%s) under schedule [%a]:@,%s@]" v.monitor
@@ -53,6 +65,49 @@ type report = {
   dedup_hits : int;
   violation : violation option;
 }
+
+let empty_report ~space =
+  {
+    examined = 0;
+    space;
+    truncated = false;
+    wall_truncated = false;
+    step_budget_hits = 0;
+    monitor_truncations = 0;
+    undelivered_crashes = 0;
+    undelivered_net = 0;
+    vacuous_net_faults = 0;
+    dedup_hits = 0;
+    violation = None;
+  }
+
+let of_run ~degrade ?(inherited = 0) sys schedule (r : Runner.result) =
+  {
+    examined = 1;
+    space = 0;
+    truncated = false;
+    wall_truncated = false;
+    step_budget_hits = (match r.Runner.stop with Runner.Budget -> 1 | _ -> 0);
+    monitor_truncations = List.length r.Runner.monitor_truncations + inherited;
+    undelivered_crashes = r.Runner.undelivered_crashes;
+    undelivered_net = r.Runner.undelivered_net;
+    vacuous_net_faults = r.Runner.vacuous_net_faults;
+    dedup_hits = (match r.Runner.stop with Runner.Pruned -> 1 | _ -> 0);
+    violation = violation_of ~degrade sys schedule r;
+  }
+
+let add a b =
+  {
+    a with
+    examined = a.examined + b.examined;
+    step_budget_hits = a.step_budget_hits + b.step_budget_hits;
+    monitor_truncations = a.monitor_truncations + b.monitor_truncations;
+    undelivered_crashes = a.undelivered_crashes + b.undelivered_crashes;
+    undelivered_net = a.undelivered_net + b.undelivered_net;
+    vacuous_net_faults = a.vacuous_net_faults + b.vacuous_net_faults;
+    dedup_hits = a.dedup_hits + b.dedup_hits;
+    violation = (match a.violation with None -> b.violation | found -> found);
+  }
 
 let grid cfg = List.init ((cfg.horizon + cfg.stride - 1) / cfg.stride) (fun i -> i * cfg.stride)
 
@@ -185,16 +240,10 @@ let run ?monitors ?config ?(stop = fun () -> false) (sys : Model.System.t) =
         undelivered_crashes := !undelivered_crashes + r.Runner.undelivered_crashes;
         undelivered_net := !undelivered_net + r.Runner.undelivered_net;
         vacuous := !vacuous + r.Runner.vacuous_net_faults;
-        match r.Runner.stop with
-        | Runner.Violation { monitor; reason; proven } ->
-          Some
-            { schedule; monitor; reason; proven; exec = r.Runner.exec;
-              steps = r.Runner.steps;
-              degraded_to = degraded_to_of cfg sys r.Runner.exec },
-          false, false
-        | Runner.Lasso _ | Runner.Pruned -> scan rest
-        | Runner.Budget ->
-          incr step_budget_hits;
+        match violation_of ~degrade:cfg.degrade sys schedule r with
+        | Some _ as found -> found, false, false
+        | None ->
+          (match r.Runner.stop with Runner.Budget -> incr step_budget_hits | _ -> ());
           scan rest
       end
   in
@@ -215,69 +264,44 @@ let run ?monitors ?config ?(stop = fun () -> false) (sys : Model.System.t) =
 
 (* --- parallel exploration --- *)
 
-type run_record = {
-  rank : int;
-  budget_hit : bool;
-  truncations : int;
-  undelivered : int;
-  undelivered_n : int;
-  vacuous : int;
-  deduped : bool;
-  found : violation option;
-}
-
-let compare_found v1 v2 =
-  let c = Schedule.compare v1.schedule v2.schedule in
-  if c <> 0 then c
-  else
-    let c = String.compare v1.monitor v2.monitor in
-    if c <> 0 then c
-    else
-      let c = String.compare v1.reason v2.reason in
-      if c <> 0 then c else Bool.compare v1.proven v2.proven
+type run_record = { rank : int; run : report }
 
 let merge ?(wall = false) ?into ~space ~scheduled records =
-  (* The winner is the enumeration-least violation: minimal rank, then the
-     lexicographically least schedule. A pure function of the record
-     multiset, so merging is order-insensitive. *)
+  (* The winner is the rank-least violation; ranks are claimed once, so it
+     is unique. A pure function of the record multiset, so merging is
+     order-insensitive. *)
   let winner =
     List.fold_left
       (fun best r ->
-        match r.found with
-        | None -> best
-        | Some v -> (
-          match best with
-          | None -> Some (r.rank, v)
-          | Some (br, bv) ->
-            if r.rank < br || (r.rank = br && compare_found v bv < 0) then Some (r.rank, v)
-            else best))
+        match r.run.violation, best with
+        | None, _ -> best
+        | Some _, Some w when w.rank < r.rank -> best
+        | Some _, _ -> Some r)
       None records
   in
   (* Sequential semantics stop scanning at the first violation: counters
      beyond the winning rank are not part of the report. *)
-  let keep r = match winner with None -> true | Some (br, _) -> r.rank <= br in
-  let kept = List.filter keep records in
-  let prior f = match into with Some r -> f r | None -> 0 in
-  let sum before f = prior before + List.fold_left (fun acc r -> acc + f r) 0 kept in
+  let prior = match into with Some r -> r | None -> empty_report ~space in
+  let summed =
+    List.fold_left
+      (fun acc r ->
+        match winner with
+        | Some w when r.rank > w.rank -> acc
+        | _ -> add acc r.run)
+      prior records
+  in
   let wall_truncated = wall && winner = None in
   {
+    summed with
     examined =
       (match winner with
-      | Some (br, _) -> br + 1
+      | Some w -> w.rank + 1
       | None ->
-        if wall_truncated then prior (fun r -> r.examined) + List.length records
-        else scheduled);
+        if wall_truncated then prior.examined + List.length records else scheduled);
     space;
     truncated = (not wall_truncated) && winner = None && scheduled < space;
     wall_truncated;
-    step_budget_hits =
-      sum (fun r -> r.step_budget_hits) (fun r -> if r.budget_hit then 1 else 0);
-    monitor_truncations = sum (fun r -> r.monitor_truncations) (fun r -> r.truncations);
-    undelivered_crashes = sum (fun r -> r.undelivered_crashes) (fun r -> r.undelivered);
-    undelivered_net = sum (fun r -> r.undelivered_net) (fun r -> r.undelivered_n);
-    vacuous_net_faults = sum (fun r -> r.vacuous_net_faults) (fun r -> r.vacuous);
-    dedup_hits = sum (fun r -> r.dedup_hits) (fun r -> if r.deduped then 1 else 0);
-    violation = Option.map snd winner;
+    violation = Option.bind winner (fun w -> w.run.violation);
   }
 
 (* Ranks dealt to the pool per block. On one domain a block only batches
@@ -334,46 +358,23 @@ let run_par ?monitors ?config ?(domains = 1) ?(dedup = true) ?(stop = fun () -> 
         else None
       in
       let r = Runner.run ~monitors ~max_steps:cfg.max_steps ?on_active ?prefix ~schedule sys in
-      let truncations = List.length r.Runner.monitor_truncations in
-      let base =
-        {
-          rank;
-          budget_hit = false;
-          truncations = truncations + !inherited;
-          undelivered = r.Runner.undelivered_crashes;
-          undelivered_n = r.Runner.undelivered_net;
-          vacuous = r.Runner.vacuous_net_faults;
-          deduped = false;
-          found = None;
-        }
-      in
-      Some
-        (match r.Runner.stop with
-        | Runner.Violation { monitor; reason; proven } ->
-          note_best best rank;
-          {
-            base with
-            found =
-              Some
-                { schedule; monitor; reason; proven; exec = r.Runner.exec;
-                  steps = r.Runner.steps;
-                  degraded_to = degraded_to_of cfg sys r.Runner.exec };
-          }
-        | Runner.Lasso _ ->
-          (* Only proven-quiescent clean runs seed the visited cache: a
-             pruned twin would provably replay this suffix to the same
-             verdict and counters (its step budget permitting — hence the
-             suffix guard above). Budget-bounded clean runs are never
-             recorded, so a cutoff at a different point can never be
-             inherited. *)
-          (match !keyed with
-          | Some (key, act, at_act) ->
-            Fingerprint.Visited.add visited key ~suffix_steps:(r.Runner.steps - act)
-              ~suffix_truncations:(truncations - at_act)
-          | None -> ());
-          base
-        | Runner.Budget -> { base with budget_hit = true }
-        | Runner.Pruned -> { base with deduped = true })
+      let run = of_run ~degrade:cfg.degrade ~inherited:!inherited sys schedule r in
+      (match r.Runner.stop with
+      | Runner.Violation _ -> note_best best rank
+      | Runner.Lasso _ -> (
+        (* Only proven-quiescent clean runs seed the visited cache: a
+           pruned twin would provably replay this suffix to the same
+           verdict and counters (its step budget permitting — hence the
+           suffix guard above). Budget-bounded clean runs are never
+           recorded, so a cutoff at a different point can never be
+           inherited. *)
+        match !keyed with
+        | Some (key, act, at_act) ->
+          Fingerprint.Visited.add visited key ~suffix_steps:(r.Runner.steps - act)
+            ~suffix_truncations:(List.length r.Runner.monitor_truncations - at_act)
+        | None -> ())
+      | Runner.Budget | Runner.Pruned -> ());
+      Some { rank; run }
     end
   in
   (* Wall-clock budget expired: the pool hands out no further rank and the

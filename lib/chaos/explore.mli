@@ -45,6 +45,14 @@ type violation = {
           crash-only reports byte-identical to the degrade-off runs. *)
 }
 
+val violation_of :
+  degrade:bool -> Model.System.t -> Schedule.t -> Runner.result -> violation option
+(** What a run under [schedule] says: [Some] violation iff it stopped on
+    one, with [degraded_to] filled ({!Degrade.describe} of the violating
+    prefix) iff [degrade]. Every violation record is built here: by the
+    explorers, the seeded driver, the shrinker and the workload engine's
+    shots. *)
+
 val pp_violation : Format.formatter -> violation -> unit
 
 type report = {
@@ -73,6 +81,27 @@ type report = {
           writes it only to its [--prune-stats-out] file. *)
   violation : violation option;
 }
+
+val empty_report : space:int -> report
+(** Nothing examined yet, out of [space] candidates. *)
+
+val of_run :
+  degrade:bool -> ?inherited:int -> Model.System.t -> Schedule.t -> Runner.result -> report
+(** One run's contribution to a report: [examined] 1, a step-budget hit iff
+    it stopped at [Budget], its monitor truncations plus [inherited]
+    (default 0: those a pruned run inherits from its recorded twin), its
+    undelivered and vacuous fault counts, a dedup hit iff it was [Pruned],
+    and its {!violation_of}. [space] is 0 and neither truncation flag is
+    set. *)
+
+val add : report -> report -> report
+(** [add acc run] sums [run]'s counters ([examined], [step_budget_hits],
+    [monitor_truncations], [undelivered_crashes], [undelivered_net],
+    [vacuous_net_faults], [dedup_hits]) into [acc]; [acc]'s violation
+    stands if it has one, else [run]'s. [space] and the truncation flags
+    are [acc]'s. {!merge} and the seeded driver both count runs by folding
+    this over {!of_run}; {!run} counts on its own, being the oracle they
+    are checked against. *)
 
 val schedules : Model.System.t -> config -> Schedule.t Seq.t
 (** The lazy candidate stream: by fault count, then fault-site subsets, then
@@ -107,11 +136,11 @@ val run :
     domains take the lowest rank not yet handed out from one shared atomic
     counter, and the block's records are {!merge}d into the report over
     every earlier rank. Counters are summed over ranks at most the winning
-    rank, and the winning violation is the rank-least (then
-    lexicographically least) one, so the report is identical to {!run}'s
-    regardless of interleaving, and a violation ends the scan after its
-    block. Memory stays bounded by one block, whatever the space size. The
-    one field that differs from {!run}'s is [dedup_hits].
+    rank, and the winning violation is the rank-least one, so the report
+    is identical to {!run}'s regardless of interleaving, and a violation
+    ends the scan after its block. Memory stays bounded by one block,
+    whatever the space size. The one field that differs from {!run}'s is
+    [dedup_hits].
 
     With [dedup] (default on), each run fingerprints its configuration at
     schedule activation ({!Fingerprint.key}: round-robin cursor, observable
@@ -132,26 +161,22 @@ val run :
 
 type run_record = {
   rank : int;  (** Enumeration index of the candidate schedule. *)
-  budget_hit : bool;
-  truncations : int;
-  undelivered : int;
-  undelivered_n : int;
-  vacuous : int;
-  deduped : bool;
-  found : violation option;
+  run : report;  (** Its {!of_run}. *)
 }
 (** One run's result, the unit {!merge} operates on. *)
 
 val merge :
   ?wall:bool -> ?into:report -> space:int -> scheduled:int -> run_record list -> report
 (** Deterministic, order-insensitive merge: any shuffling of the records
-    yields the identical report. [scheduled] is the number of ranks dealt
-    out so far, i.e. [min budget space] once the last block is dealt. With
-    [wall] (default false) and no winning violation, the report is marked
+    yields the identical report. The winning violation is the rank-least
+    one (each rank is dealt once, so it is unique), and the records at
+    ranks at most the winner's are {!add}ed, in any order, to [into] (or to
+    {!empty_report}). [scheduled] is the number of ranks dealt out so far,
+    i.e. [min budget space] once the last block is dealt. With [wall]
+    (default false) and no winning violation, the report is marked
     [wall_truncated] and [examined] counts the records actually produced.
     [into], if given, is the merged report over every rank below this
-    block's, none of which violated: its counters are added to the
-    block's. *)
+    block's, none of which violated. *)
 
 val run_par :
   ?monitors:Monitor.t list ->

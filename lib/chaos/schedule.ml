@@ -97,97 +97,15 @@ let make ?(default_pref = Model.System.Prefer_dummy) ?(overrides = []) faults =
 
 let empty = make []
 
-(* Shrinking minimizes along this kind order: duplications are the cheapest
-   faults to give up, partitions the dearest (ISSUE 5 — "drop a Duplicate
-   before weakening a Partition"). *)
-let kind_rank = function
-  | Crash _ -> 0
-  | Silence _ -> 1
-  | Drop _ -> 2
-  | Duplicate _ -> 3
-  | Delay _ -> 4
-  | Partition _ -> 5
+let equal (a : t) b = a = b
 
-let compare_blocks = List.compare (List.compare Int.compare)
-
-let compare_fault a b =
-  match a, b with
-  | Crash a, Crash b ->
-    let c = Int.compare a.step b.step in
-    if c <> 0 then c else Int.compare a.pid b.pid
-  | Silence a, Silence b ->
-    let c = Int.compare a.step b.step in
-    if c <> 0 then c else String.compare a.service b.service
-  | Drop a, Drop b ->
-    let c = Int.compare a.step b.step in
-    if c <> 0 then c
-    else
-      let c = String.compare a.service b.service in
-      if c <> 0 then c else Int.compare a.endpoint b.endpoint
-  | Duplicate a, Duplicate b ->
-    let c = Int.compare a.step b.step in
-    if c <> 0 then c
-    else
-      let c = String.compare a.service b.service in
-      if c <> 0 then c else Int.compare a.endpoint b.endpoint
-  | Delay a, Delay b ->
-    let c = Int.compare a.step b.step in
-    if c <> 0 then c
-    else
-      let c = String.compare a.service b.service in
-      if c <> 0 then c
-      else
-        let c = Int.compare a.endpoint b.endpoint in
-        if c <> 0 then c else Int.compare a.lag b.lag
-  | Partition a, Partition b ->
-    let c = Int.compare a.step b.step in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.heal_at b.heal_at in
-      if c <> 0 then c else compare_blocks a.blocks b.blocks
-  | a, b -> Int.compare (kind_rank a) (kind_rank b)
-
-let equal_fault a b = compare_fault a b = 0
-
-let equal a b =
-  List.equal equal_fault a.faults b.faults
-  && a.default_pref = b.default_pref
-  && List.equal
-       (fun (t1, p1) (t2, p2) -> Model.Task.equal t1 t2 && p1 = p2)
-       a.overrides b.overrides
-
-let pref_rank = function Model.System.Prefer_dummy -> 0 | Model.System.Prefer_real -> 1
-
-let compare a b =
-  let c = List.compare compare_fault a.faults b.faults in
-  if c <> 0 then c
-  else
-    let c = Int.compare (pref_rank a.default_pref) (pref_rank b.default_pref) in
-    if c <> 0 then c
-    else
-      List.compare
-        (fun (t1, p1) (t2, p2) ->
-          let c = Model.Task.compare t1 t2 in
-          if c <> 0 then c else Int.compare (pref_rank p1) (pref_rank p2))
-        a.overrides b.overrides
-
-let map_steps f t =
-  let faults =
-    List.map
-      (function
-        | Crash { step; pid } -> Crash { step = f step; pid }
-        | Silence { step; service } -> Silence { step = f step; service }
-        | Drop { step; service; endpoint } -> Drop { step = f step; service; endpoint }
-        | Duplicate { step; service; endpoint } -> Duplicate { step = f step; service; endpoint }
-        | Delay { step; service; endpoint; lag } -> Delay { step = f step; service; endpoint; lag }
-        | Partition { step; blocks; heal_at } ->
-          (* Rebase both edges; keep heal strictly after onset so the result
-             still validates. *)
-          let step' = f step in
-          Partition { step = step'; blocks; heal_at = max (f heal_at) (step' + 1) })
-      t.faults
-  in
-  make ~default_pref:t.default_pref ~overrides:t.overrides faults
+let with_step s = function
+  | Crash c -> Crash { c with step = s }
+  | Silence c -> Silence { c with step = s }
+  | Drop c -> Drop { c with step = s }
+  | Duplicate c -> Duplicate { c with step = s }
+  | Delay c -> Delay { c with step = s }
+  | Partition p -> Partition { p with step = s; heal_at = p.heal_at + s - p.step }
 
 let crashes t =
   List.filter_map (function Crash { step; pid } -> Some (step, pid) | _ -> None) t.faults

@@ -85,25 +85,12 @@ val make :
 
 val empty : t
 val equal : t -> t -> bool
+(** Structural equality: a schedule holds only ints, strings, lists and
+    constant constructors. *)
 
-val compare_fault : fault -> fault -> int
-(** Kind-ranked: crashes < silences < drops < duplicates < delays <
-    partitions; within a kind, by step then payload. The shrinker walks
-    candidates in this order, so it gives up a duplication before it weakens
-    a partition. *)
-
-val compare : t -> t -> int
-(** A total order consistent with {!equal}: faults lexicographically (by
-    kind, step, target), then the default adversary (silencing first — the
-    enumeration default), then overrides. Used by the parallel explorer's
-    merge to break ties deterministically, so reports are run-to-run
-    stable. *)
-
-val map_steps : (int -> int) -> t -> t
-(** Rebase every fault's step (and partition heal edge) through the given
-    monotone map, re-sorting. Heal edges are kept strictly after their
-    onset, so a valid schedule stays valid. The workload engine uses this to
-    translate engine-tick fault times into shot-local scheduler steps. *)
+val with_step : int -> fault -> fault
+(** The fault moved to the given step; a partition's heal moves by the same
+    amount as its onset, so a valid partition stays valid. *)
 
 val crashes : t -> (int * int) list
 (** The [(step, pid)] crash placements, in schedule order. *)

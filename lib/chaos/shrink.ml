@@ -1,8 +1,7 @@
 type stats = { candidates : int; runs : int }
 
 (* Give up a duplication before a drop, a drop before a delay, a delay
-   before a crash, and weaken a partition last (ISSUE 5's shrink order,
-   backed by Schedule.compare_fault's kind ranking). *)
+   before a crash, and weaken a partition last. *)
 let shrink_priority = function
   | Schedule.Duplicate _ -> 0
   | Schedule.Drop _ -> 1
@@ -101,22 +100,15 @@ let candidates ~exec_len (s : Schedule.t) =
     List.concat
       (List.mapi
          (fun i fault ->
-           let reclamp step k = if step > exec_len then [ replace i (k exec_len) ] else [] in
            match fault with
            | Schedule.Partition { step; blocks; heal_at }
              when heal_at > exec_len + 1 && exec_len + 1 > step ->
              [ replace i (Schedule.partition ~step ~blocks ~heal_at:(exec_len + 1)) ]
-           | Schedule.Crash { step; pid } ->
-             reclamp step (fun step -> Schedule.crash ~step ~pid)
-           | Schedule.Silence { step; service } ->
-             reclamp step (fun step -> Schedule.silence ~step ~service)
-           | Schedule.Drop { step; service; endpoint } ->
-             reclamp step (fun step -> Schedule.drop ~step ~service ~endpoint)
-           | Schedule.Duplicate { step; service; endpoint } ->
-             reclamp step (fun step -> Schedule.duplicate ~step ~service ~endpoint)
-           | Schedule.Delay { step; service; endpoint; lag } ->
-             reclamp step (fun step -> Schedule.delay ~step ~service ~endpoint ~lag)
-           | Schedule.Partition _ -> [])
+           | Schedule.Partition _ -> []
+           | _ ->
+             if Schedule.step fault > exec_len then
+               [ replace i (Schedule.with_step exec_len fault) ]
+             else [])
          s.Schedule.faults)
   in
   drops @ helpful @ override_drops @ weaken @ earlier @ clamps
@@ -127,16 +119,8 @@ let shrink ?monitors ?max_steps ?interleave ?inputs sys (v : Explore.violation) 
   let reproduces (v : Explore.violation) schedule =
     incr runs;
     let r = Runner.run ?monitors ?max_steps ?interleave ?inputs ~schedule sys in
-    match r.Runner.stop with
-    | Runner.Violation { monitor; reason; proven } when String.equal monitor v.monitor ->
-      Some
-        { v with
-          Explore.schedule;
-          reason;
-          proven;
-          exec = r.Runner.exec;
-          steps = r.Runner.steps;
-        }
+    match Explore.violation_of ~degrade:(v.degraded_to <> None) sys schedule r with
+    | Some v' when String.equal v'.Explore.monitor v.monitor -> Some v'
     | _ -> None
   in
   let rec fixpoint (v : Explore.violation) =

@@ -12,7 +12,9 @@
     Every candidate is re-validated ({!Schedule.validate}) after mutation
     and skipped when the mutation broke a well-formedness invariant. The
     result is 1-minimal: no single remaining reduction preserves the
-    violation.
+    violation. Each kept reduction is read through {!Explore.violation_of},
+    with [degrade] set iff the violation carries a [degraded_to], so the
+    minimized violation's annotation describes its own prefix.
 
     Pass the same [monitors]/[max_steps]/[interleave]/[inputs] the
     violation was found with; in particular, seeded-random violations

@@ -13,9 +13,10 @@ type entry = {
 
 let one _ = 1
 
-(* What each protocol is held to by the chaos battery (`Monitor.defaults`
-   checks full consensus agreement, validity, termination, linearizability),
-   expressed as a guarantee claim for the static gap pass. Honest claims
+(* What each protocol is held to, as a guarantee claim for the static gap
+   pass and for the chaos battery, whose agreement and validity monitors
+   follow [agreement]: k-agreement plus validity for [Some k], neither for
+   [None] (termination and linearizability are always checked). Honest claims
    (≤ the composed service vector) leave no gap even where the battery
    refutes the protocol one crash beyond its claim; the three boosting
    entries register the over-claim that is their point. *)
@@ -95,9 +96,9 @@ let all =
       min_n = 1;
       k_of = (fun p -> p.groups);
       claims = (fun p ->
-          (* The chaos battery holds every registry protocol to full
-             consensus (k = 1); §4 warrants only k = groups. The scope gap
-             is exactly that distance (Thm 2). *)
+          (* Claimed, and held by the chaos battery, to full consensus
+             (k = 1); §4 warrants only k = groups. The scope gap is exactly
+             that distance (Thm 2). *)
           consensus ~termination:Analysis.Guarantee.Wait_free () p);
     };
     {
@@ -153,7 +154,8 @@ let all =
       k_of = one;
       claims = (fun _ ->
           (* Decides counter responses, not proposed inputs: linearizability
-             and wait-freedom are the claims, agreement is not. *)
+             and wait-freedom are the claims, agreement is not, so the chaos
+             battery checks neither agreement nor validity. *)
           { Analysis.Guarantee.no_claim with
             Analysis.Guarantee.termination = Some Analysis.Guarantee.Wait_free;
             linearizable = true });

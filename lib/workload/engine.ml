@@ -112,7 +112,10 @@ let log_push st cmd =
   st.log.(st.log_len) <- cmd;
   st.log_len <- st.log_len + 1
 
-let log_slice st = Array.sub st.log 0 st.log_len
+let log_iter st f =
+  for i = 0 to st.log_len - 1 do
+    f st.log.(i)
+  done
 
 let draw_op st =
   if String.equal st.cfg.obj_name "register" then
@@ -208,7 +211,7 @@ let recovery_progress st ~tick =
     (fun (r : Replica.t) ->
       if r.Replica.status = Replica.Recovering then begin
         let before = r.Replica.replayed in
-        (match Replica.catch_up r ~log:(log_slice st) ~rate:st.cfg.catch_up_rate with
+        (match Replica.catch_up ~len:st.log_len r ~log:st.log ~rate:st.cfg.catch_up_rate with
         | `Caught_up ->
           st.damage <- Chaos.Degrade.uncrash st.damage r.Replica.id;
           st.report.Report.rejoins <- st.report.Report.rejoins + 1;
@@ -305,7 +308,7 @@ let retries st ~tick =
 (* The in-shot schedule for one consensus shot: replicas already down crash
    at step 0; stashed timeline faults (mid-traffic crashes, drops, dups,
    delays, silences) are rebased from engine ticks into the shot's own step
-   space via {!Chaos.Schedule.map_steps}. *)
+   space via {!Chaos.Schedule.with_step}. *)
 let shot_schedule st =
   let span = max 1 (3 * st.n_tasks) in
   let stashed = Chaos.Schedule.make st.stash in
@@ -317,9 +320,13 @@ let shot_schedule st =
              Some (Chaos.Schedule.crash ~step:0 ~pid:r.Replica.id)
            else None)
   in
-  let rebased = Chaos.Schedule.map_steps (fun s -> 1 + (s mod span)) stashed in
+  let rebased =
+    List.map
+      (fun f -> Chaos.Schedule.(with_step (1 + (step f mod span)) f))
+      stashed.Chaos.Schedule.faults
+  in
   st.stash <- [];
-  Chaos.Schedule.make (down_crashes @ rebased.Chaos.Schedule.faults)
+  Chaos.Schedule.make (down_crashes @ rebased)
 
 (* Candidate-bit input encoding: registry protocols take binary inputs, so a
    shot elects between (at most) two candidate leader replicas — the two
@@ -354,27 +361,14 @@ let run_shot st ~schedule ~inputs ~c0 ~c1 =
     | [] -> Shot_stalled
     | (_, v) :: _ -> Shot_committed (if Value.equal v (Value.int 1) then c1 else c0)
   in
-  match result.Chaos.Runner.stop with
-  | Chaos.Runner.Violation { monitor; reason; proven } ->
-    if String.equal monitor "f-termination" then
-      (* A liveness miss inside one shot is a stall, not corruption: the
-         engine's own retry/degrade machinery is the recovery pattern. If
-         someone did decide, that decision is still a safe commit (every
-         safety monitor passed). *)
-      committed_or_stalled result.Chaos.Runner.exec
-    else
-      Shot_violated
-        ( {
-            Chaos.Explore.schedule;
-            monitor;
-            reason;
-            proven;
-            exec = result.Chaos.Runner.exec;
-            steps = result.Chaos.Runner.steps;
-            degraded_to = None;
-          },
-          inputs )
-  | Chaos.Runner.Lasso _ | Chaos.Runner.Budget | Chaos.Runner.Pruned ->
+  match Chaos.Explore.violation_of ~degrade:false st.sys schedule result with
+  | Some v when not (String.equal v.Chaos.Explore.monitor "f-termination") ->
+    Shot_violated (v, inputs)
+  | Some _ | None ->
+    (* A liveness miss inside one shot is a stall, not corruption: the
+       engine's own retry/degrade machinery is the recovery pattern. If
+       someone did decide, that decision is still a safe commit (every
+       safety monitor passed). *)
     committed_or_stalled result.Chaos.Runner.exec
 
 let commit_batch st ~leader batch =
@@ -484,7 +478,7 @@ let final_checks st =
   (* Cross-replica consistency: every caught-up replica must agree with a
      from-scratch replay of the commit log (the catch-up path itself). *)
   let fresh = Replica.create ~id:(-1) ~obj:st.obj in
-  Array.iter (fun cmd -> ignore (Replica.apply_cmd fresh cmd)) (log_slice st);
+  log_iter st (fun cmd -> ignore (Replica.apply_cmd fresh cmd));
   Array.iter
     (fun (r : Replica.t) ->
       if Replica.is_up r && r.Replica.applied = st.log_len then
@@ -500,7 +494,7 @@ let final_checks st =
      (client, seq) pairs in the log. Zero iff every pair mutated the object
      exactly once no matter how many log entries carried it. *)
   let seen = Replica.Tbl.create 256 in
-  Array.iter (fun cmd -> Replica.Tbl.replace seen (Cmd.key cmd) ()) (log_slice st);
+  log_iter st (fun cmd -> Replica.Tbl.replace seen (Cmd.key cmd) ());
   let applications = st.log_len - fresh.Replica.duplicates_skipped in
   st.report.Report.duplicate_applications <- applications - Replica.Tbl.length seen;
   (* Incremental linearizability: final flush, then the oracle pin. *)

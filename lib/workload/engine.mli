@@ -12,7 +12,8 @@
     crashes take replicas down (their queued commands die, clients fail over,
     and the crash also lands mid-shot so the protocol sees it in flight);
     crashed replicas rejoin by replaying the commit log at a bounded rate;
-    drops/dups/delays/silences are rebased into the next shot's step space;
+    drops/dups/delays/silences are rebased into the next shot's step space
+    ({!Chaos.Schedule.with_step});
     partitions gate consensus at the engine level, degrading service (ops
     queue, sessions retry, {!Chaos.Degrade} tracks the live vector) instead
     of stalling, until the heal. Client sessions are retry-with-timeout-and-

@@ -72,12 +72,13 @@ let crash r ~tick ~rejoin_at =
 
 let start_recovery r = r.status <- Recovering
 
-(* Replay up to [rate] commit-log entries. Returns [`Caught_up] when the
-   replica has applied the whole log — the rejoin point; its state is then
-   byte-equal to a replica that never crashed, because replay runs the same
-   deterministic apply (dedup included) a live replica ran incrementally. *)
-let catch_up r ~log ~rate =
-  let target = Array.length log in
+(* Replay up to [rate] of the first [len] commit-log entries. Returns
+   [`Caught_up] when the replica has applied all [len] — the rejoin point;
+   its state is then byte-equal to a replica that never crashed, because
+   replay runs the same deterministic apply (dedup included) a live replica
+   ran incrementally. *)
+let catch_up ?len r ~log ~rate =
+  let target = Option.value len ~default:(Array.length log) in
   let before = r.applied in
   let stop = min target (before + rate) in
   while r.applied < stop do

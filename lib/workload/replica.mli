@@ -38,5 +38,8 @@ val apply_cmd : t -> Cmd.t -> [ `Applied of Value.t | `Duplicate of Value.t ]
 val crash : t -> tick:int -> rejoin_at:int -> unit
 val start_recovery : t -> unit
 
-val catch_up : t -> log:Cmd.t array -> rate:int -> [ `Caught_up | `Recovering ]
-(** Replay up to [rate] entries; [`Caught_up] flips the replica to [Up]. *)
+val catch_up : ?len:int -> t -> log:Cmd.t array -> rate:int -> [ `Caught_up | `Recovering ]
+(** Replay up to [rate] of the log's first [len] entries (default: all of
+    them), so a caller whose log array has spare capacity passes its live
+    length instead of a copy; [`Caught_up] flips the replica to [Up] once
+    all [len] are applied. *)

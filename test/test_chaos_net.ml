@@ -557,7 +557,7 @@ let qcheck_net_kinds_preserve_legacy_stream =
         | _ -> false
       in
       List.equal
-        (fun a b -> Chaos.Schedule.compare_fault a b = 0)
+        ( = )
         base.Chaos.Schedule.faults
         (List.filter crash_or_silence mixed.Chaos.Schedule.faults))
 

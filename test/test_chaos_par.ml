@@ -309,13 +309,16 @@ let qcheck_merge_order_insensitive =
         Chaos.Explore.
           {
             rank;
-            budget_hit;
-            truncations;
-            undelivered;
-            undelivered_n = 0;
-            vacuous = 0;
-            deduped;
-            found;
+            run =
+              {
+                (empty_report ~space:0) with
+                examined = 1;
+                step_budget_hits = Bool.to_int budget_hit;
+                monitor_truncations = truncations;
+                undelivered_crashes = undelivered;
+                dedup_hits = Bool.to_int deduped;
+                violation = found;
+              };
           })
   in
   let gen =
@@ -337,6 +340,67 @@ let qcheck_merge_order_insensitive =
       let space = n + 5 and scheduled = n in
       report_sig (Chaos.Explore.merge ~space ~scheduled records)
       = report_sig (Chaos.Explore.merge ~space ~scheduled shuffled))
+
+(* The seeded driver counts its runs with the explorer's tally; a fold
+   over Rand.run for the same seeds, written out here, must agree. Seed 30
+   runs all 40 seeds clean with every counter non-zero; seed 1 stops at a
+   violation on its 24th run. *)
+
+let test_seeded_tally () =
+  let sys = Protocols.Direct.system ~n:3 ~f:1 in
+  let runs = 40 and max_faults = 2 and max_steps = 120 and kinds = all_kinds in
+  let monitors = Chaos.Monitor.defaults () in
+  (* examined, budget hits, truncations, undelivered crashes and net
+     faults, vacuous net faults *)
+  let counts (res : Chaos.Runner.result) =
+    [
+      1;
+      (match res.Chaos.Runner.stop with Chaos.Runner.Budget -> 1 | _ -> 0);
+      List.length res.Chaos.Runner.monitor_truncations;
+      res.Chaos.Runner.undelivered_crashes;
+      res.Chaos.Runner.undelivered_net;
+      res.Chaos.Runner.vacuous_net_faults;
+    ]
+  in
+  let tally ~seed ~horizon =
+    let rec fold i acc =
+      if i >= runs then acc
+      else
+        let res, _ =
+          Chaos.Rand.run ~seed:(seed + i) ~max_faults ~horizon ~kinds ~monitors ~max_steps sys
+        in
+        let acc = List.map2 ( + ) acc (counts res) in
+        match res.Chaos.Runner.stop with
+        | Chaos.Runner.Violation _ -> acc
+        | _ -> fold (i + 1) acc
+    in
+    let expected = fold 0 [ 0; 0; 0; 0; 0; 0 ] in
+    let r =
+      Chaos.Driver.run ~monitors ~shrink:false
+        (Chaos.Driver.Seeded
+           { seed; runs; max_faults; horizon; max_steps; kinds; degrade = false })
+        sys
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "seed %d: driver tally = fold over Rand.run" seed)
+      expected
+      Chaos.Driver.
+        [
+          r.examined;
+          r.step_budget_hits;
+          r.monitor_truncations;
+          r.undelivered_crashes;
+          r.undelivered_net;
+          r.vacuous_net_faults;
+        ];
+    expected
+  in
+  Alcotest.(check bool) "seed 30: 40 runs, every counter non-zero" true
+    (match tally ~seed:30 ~horizon:125 with
+    | examined :: rest -> examined = runs && List.for_all (fun c -> c > 0) rest
+    | [] -> false);
+  Alcotest.(check int) "seed 1: the tally stops at the violating 24th run" 24
+    (List.hd (tally ~seed:1 ~horizon:130))
 
 (* --- Satellite 4: the silent-budget footgun stays dead --- *)
 
@@ -397,6 +461,7 @@ let suite =
       qcheck_fingerprint_replay;
       qcheck_dedup_preserves_verdicts;
       qcheck_merge_order_insensitive;
+      Alcotest.test_case "seeded tally = fold over Rand.run" `Quick test_seeded_tally;
       Alcotest.test_case "stem resume = full run on every schedule" `Quick test_stem_resume;
       Alcotest.test_case "visited cache: one key per slot" `Quick test_visited_slots;
       Alcotest.test_case "silent-budget regression (seq + par)" `Quick

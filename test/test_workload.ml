@@ -321,22 +321,18 @@ let test_tob_witness_clamped () =
         m.Chaos.Schedule.faults)
   | o -> Alcotest.failf "expected a shot violation on tob, got %a" Workload.Report.pp_outcome o
 
-(* --- Schedule.map_steps: the rebase used to carry engine-tick faults into
+(* --- Schedule.with_step: the rebase that carries engine-tick faults into
    a shot's step space --- *)
 
-let test_map_steps_keeps_heal_after_onset () =
-  let s =
-    Chaos.Schedule.make
-      [ Chaos.Schedule.partition ~step:5 ~blocks:[ [ 0 ] ] ~heal_at:40 ]
-  in
-  (* A collapsing map would put the heal at or before the onset; map_steps
-     must keep it strictly after. *)
-  let s' = Chaos.Schedule.map_steps (fun _ -> 3) s in
-  match s'.Chaos.Schedule.faults with
-  | [ Chaos.Schedule.Partition { step; heal_at; _ } ] ->
-    Alcotest.(check int) "onset mapped" 3 step;
-    Alcotest.(check bool) "heal strictly after onset" true (heal_at > step)
-  | _ -> Alcotest.fail "partition lost by map_steps"
+let test_with_step_keeps_heal_after_onset () =
+  (* Moving a partition's onset moves its heal by the same amount, so the
+     heal stays strictly after the onset and the partition keeps its span. *)
+  let p = Chaos.Schedule.partition ~step:5 ~blocks:[ [ 0 ] ] ~heal_at:40 in
+  match Chaos.Schedule.with_step 3 p with
+  | Chaos.Schedule.Partition { step; heal_at; _ } ->
+    Alcotest.(check int) "onset moved" 3 step;
+    Alcotest.(check int) "heal moved by the same amount" 38 heal_at
+  | _ -> Alcotest.fail "partition lost by with_step"
 
 let suite =
   ( "workload",
@@ -355,6 +351,6 @@ let suite =
         test_crash_rejoin_exactly_once;
       Alcotest.test_case "tob serve witness is 1-minimal and clamped" `Quick
         test_tob_witness_clamped;
-      Alcotest.test_case "map_steps keeps partition heal after onset" `Quick
-        test_map_steps_keeps_heal_after_onset;
+      Alcotest.test_case "with_step keeps partition heal after onset" `Quick
+        test_with_step_keeps_heal_after_onset;
     ] )
